@@ -58,16 +58,7 @@ def _load_mask_set(masks_path: str, probs_path: str) -> SoftMaskSet:
     values = pio.read_tensor(masks_path)
     probs = pio.read_tensor(probs_path)
     table = pio.read_class_table(Path(probs_path).with_suffix(".json"))
-    if values.ndim != 4:
-        raise ValueError(
-            f"mask tensor must be 4D (m, N, H, W), got ndim={values.ndim}"
-        )
-    if probs.ndim != 2 or probs.shape[0] != values.shape[0]:
-        raise ValueError(
-            f"class prob rows ({probs.shape[0]}) must match mask count "
-            f"m={values.shape[0]}"
-        )
-    return SoftMaskSet(values.astype(np.float64), probs.astype(np.float64), table)
+    return SoftMaskSet(values, probs, table)
 
 
 def cmd_synth(args) -> int:
@@ -103,10 +94,6 @@ def cmd_synth(args) -> int:
 
 def cmd_merge(args) -> int:
     masks = _load_mask_set(args.masks, args.classprobs)
-    if args.solver == "exact" and masks.num_queries > 24:
-        raise ValueError(
-            f"exact solver is guarded to m <= 24 variables, got m={masks.num_queries}"
-        )
     cfg = MergeConfig(
         penalty=args.lambda_p,
         void_threshold=args.void_threshold,
@@ -147,10 +134,6 @@ def _upsample_nearest(pmap: PanopticMap, height: int, width: int) -> PanopticMap
 def _eval_pair(pred_path, gt_path, void_exemption: bool):
     pred = pio.read_panoptic(pred_path)
     gt = pio.read_panoptic(gt_path)
-    if pred.num_views != gt.num_views:
-        raise ValueError(
-            f"view count mismatch: pred N={pred.num_views} vs gt N={gt.num_views}"
-        )
     if (pred.height, pred.width) != (gt.height, gt.width):
         if pred.height * pred.width < gt.height * gt.width:
             pred = _upsample_nearest(pred, gt.height, gt.width)
@@ -227,9 +210,7 @@ def cmd_render_labels(args) -> int:
 
 
 def cmd_fps(args) -> int:
-    vectors = pio.read_tensor(args.descriptors).astype(np.float64)
-    if vectors.ndim != 2:
-        raise ValueError(f"descriptors must be 2D (N, dim), got ndim={vectors.ndim}")
+    vectors = pio.read_tensor(args.descriptors)
     selected = fps_select(
         FrameDescriptors(vectors), k=args.k, seed_index=args.seed_index,
         metric=args.metric,
@@ -252,7 +233,7 @@ def cmd_solve_qubo(args) -> int:
         )
     except (KeyError, json.JSONDecodeError) as exc:
         raise pio.FormatError(f"{args.instance}: bad QUBO instance: {exc}") from exc
-    if args.exact or args.solver == "exact":
+    if args.exact:
         result = solve_exact(q)
     else:
         result = solve_anneal(q, _anneal_config(args))
@@ -339,7 +320,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("solve-qubo", help="solve a QUBO instance from JSON")
     p.add_argument("instance")
     p.add_argument("--exact", action="store_true")
-    p.add_argument("--solver", choices=("anneal", "exact"), default="anneal")
     _add_anneal_flags(p)
     p.set_defaults(func=cmd_solve_qubo)
 

@@ -13,6 +13,9 @@ import numpy as np
 
 VOID_INSTANCE = 0
 DEFAULT_VOID_CLASS = 65535
+# Instance IDs lie in [0, INSTANCE_ID_LIMIT); scene PQ packs a segment as
+# class * INSTANCE_ID_LIMIT + instance, so a wider ID would alias classes.
+INSTANCE_ID_LIMIT = 1 << 24
 
 
 @dataclass(frozen=True)
@@ -49,8 +52,9 @@ class SoftMaskSet:
     """A set of m soft mask proposals over N views of H x W pixels.
 
     values:       (m, N, H, W) float64 array, entries in [0, 1].
-    class_probs:  (m, C) float64 array of per-class scores (rows need not
-                  sum to one; only the argmax is consumed downstream).
+    class_probs:  (m, C) float64 array of finite per-class scores. Rows need
+                  not sum to one: a proposal's class is derived as the argmax
+                  of its row, and no class map is stored.
     """
 
     values: np.ndarray
@@ -64,12 +68,15 @@ class SoftMaskSet:
             raise ValueError("mask values must have shape (m, N, H, W)")
         if min(values.shape) < 1:
             raise ValueError("m, N, H, W must all be >= 1")
-        if values.min() < 0.0 or values.max() > 1.0:
+        # written so that NaN fails it too
+        if not (values.min() >= 0.0 and values.max() <= 1.0):
             raise ValueError("mask values must lie in [0, 1]")
         if probs.ndim != 2 or probs.shape[0] != values.shape[0]:
             raise ValueError("class_probs must have exactly m rows")
         if probs.shape[1] != self.class_table.num_classes:
             raise ValueError("class_probs columns must match class table size")
+        if not np.isfinite(probs).all():
+            raise ValueError("class_probs must be finite")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "class_probs", probs)
 
@@ -92,36 +99,28 @@ class SoftMaskSet:
 
 @dataclass(frozen=True)
 class PanopticMap:
-    """Per-view instance and class ID maps with a shared instance->class table.
+    """Per-view instance ID maps with a shared instance->class table.
 
     Instance IDs are consistent across views: the same nonzero ID denotes
-    the same object everywhere. Instance 0 is void.
+    the same object everywhere. Instance 0 is void. The per-pixel class map
+    is derived on access (`class_ids`), not stored.
     """
 
     instance_ids: np.ndarray
-    class_ids: np.ndarray
     instance_to_class: dict[int, int]
     class_table: ClassTable = field(compare=False)
 
     def __post_init__(self):
         inst = np.asarray(self.instance_ids)
-        cls = np.asarray(self.class_ids)
-        if inst.ndim != 3 or cls.shape != inst.shape:
-            raise ValueError("instance and class maps must share shape (N, H, W)")
-        for iid in np.unique(inst):
-            iid = int(iid)
-            if iid == VOID_INSTANCE:
-                continue
-            if iid not in self.instance_to_class:
+        if inst.ndim != 3:
+            raise ValueError("instance map must have shape (N, H, W)")
+        ids = np.unique(inst)
+        if ids.size and (ids[0] < 0 or ids[-1] >= INSTANCE_ID_LIMIT):
+            raise ValueError(f"instance IDs must lie in [0, {INSTANCE_ID_LIMIT})")
+        for iid in ids.tolist():
+            if iid != VOID_INSTANCE and iid not in self.instance_to_class:
                 raise ValueError(f"instance {iid} has no class assignment")
-        # class map must agree with the instance->class mapping at every pixel
-        expected = np.full(inst.shape, self.class_table.void_class, dtype=cls.dtype)
-        for iid, cid in self.instance_to_class.items():
-            expected[inst == iid] = cid
-        if not np.array_equal(cls, expected):
-            raise ValueError("class_ids disagree with instance_to_class")
         object.__setattr__(self, "instance_ids", inst)
-        object.__setattr__(self, "class_ids", cls)
         object.__setattr__(self, "instance_to_class", dict(self.instance_to_class))
 
     @classmethod
@@ -131,12 +130,28 @@ class PanopticMap:
         instance_to_class: dict[int, int],
         class_table: ClassTable,
     ) -> "PanopticMap":
-        """Build a map from an instance-ID tensor, deriving the class map."""
-        inst = np.asarray(instance_ids)
-        class_ids = np.full(inst.shape, class_table.void_class, dtype=np.int32)
-        for iid, cid in instance_to_class.items():
-            class_ids[inst == iid] = cid
-        return cls(inst, class_ids, dict(instance_to_class), class_table)
+        """Build a map from an instance-ID tensor and its instance->class table."""
+        return cls(np.asarray(instance_ids), dict(instance_to_class), class_table)
+
+    def unique_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The sorted distinct instance IDs, each pixel's index into them
+        (shape (N, H, W)), and each ID's class (void_class for ID 0, int32).
+        Indexing by position, not raw ID, keeps the table small for wide IDs.
+        """
+        ids, inverse = np.unique(self.instance_ids, return_inverse=True)
+        void = self.class_table.void_class
+        to_class = self.instance_to_class
+        classes = np.array(
+            [void if i == VOID_INSTANCE else to_class[i] for i in ids.tolist()],
+            dtype=np.int32,
+        )
+        return ids, inverse.reshape(self.instance_ids.shape), classes
+
+    @property
+    def class_ids(self) -> np.ndarray:
+        """(N, H, W) int32 class map; void_class on void pixels."""
+        _, inverse, classes = self.unique_ids()
+        return classes[inverse]
 
     @property
     def num_views(self) -> int:

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .masks import ClassTable, PanopticMap, SoftMaskSet
+from .masks import PanopticMap, SoftMaskSet
 from .qubo import (
     DEFAULT_PENALTY,
     AnnealConfig,
@@ -52,7 +52,6 @@ class BaselineConfig:
 
     confidence_threshold: float = 0.5
     vote_support_threshold: float = 0.8
-    per_view_independent: bool = True
 
     def __post_init__(self):
         for v in (self.confidence_threshold, self.vote_support_threshold):
@@ -123,8 +122,9 @@ def merge_baseline(
 
     Low-confidence queries are filtered out; each pixel votes for the query
     maximizing class confidence times soft mask value (void if the winner's
-    mask value is below 0.5); queries lacking sufficient vote support against
-    their own thresholded mask area are dropped and their pixels re-voided.
+    mask value is below 0.5); in each view, queries lacking sufficient vote
+    support against their own thresholded mask area there are dropped from
+    that view and their pixels re-voided.
     """
     cfg = cfg or BaselineConfig()
     conf = masks.class_probs.max(axis=1)
@@ -138,18 +138,12 @@ def merge_baseline(
     win_mask_val = np.take_along_axis(vals, winner[None], axis=0)[0]
     labeled = win_mask_val >= 0.5
 
-    num_views = masks.num_views
-    view_groups = (
-        [[v] for v in range(num_views)] if cfg.per_view_independent else [list(range(num_views))]
-    )
-    for views in view_groups:
+    for v in range(masks.num_views):
         for k in range(keep.size):
-            thresh = vals[k, views] >= 0.5
-            won = (winner[views] == k) & labeled[views]
-            area = int(thresh.sum())
-            support = int(won.sum())
+            area = int(np.count_nonzero(vals[k, v] >= 0.5))
+            support = int(np.count_nonzero((winner[v] == k) & labeled[v]))
             if area == 0 or support < cfg.vote_support_threshold * area:
-                labeled[views] &= ~(winner[views] == k)
+                labeled[v] &= winner[v] != k
 
     instance_ids = np.where(labeled, winner + 1, 0)
     return _assemble(masks, instance_ids, keep.tolist())

@@ -10,11 +10,11 @@ All values are reported in percent.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import ClassTable, PanopticMap
+from .masks import INSTANCE_ID_LIMIT, VOID_INSTANCE, ClassTable, PanopticMap
 
 MATCH_IOU = 0.5
 
@@ -104,28 +104,24 @@ class PqReport:
 
 
 def _segment_codes(pmap: PanopticMap, classes: ClassTable) -> np.ndarray:
-    """Encode each pixel as class * 2^24 + segment, flattened over all views.
+    """Encode each pixel as class * INSTANCE_ID_LIMIT + segment, flattened
+    over all views; codes are computed once per distinct instance ID.
 
     Thing pixels keep their instance ID as the segment part; stuff pixels of a
     class collapse to segment 0, merging them into one scene-wide segment.
     Void pixels get code -1.
     """
-    inst = pmap.instance_ids.reshape(-1).astype(np.int64)
-    cls = pmap.class_ids.reshape(-1).astype(np.int64)
-    codes = np.full(inst.shape, -1, dtype=np.int64)
-    labeled = inst != 0
-    thing_mask = np.zeros(classes.num_classes, dtype=bool)
-    thing_mask[classes.thing_ids()] = True
-    is_thing_px = np.zeros(inst.shape, dtype=bool)
-    valid_cls = labeled & (cls != classes.void_class)
-    if valid_cls.any():
-        bad = (cls[valid_cls] < 0) | (cls[valid_cls] >= classes.num_classes)
-        if bad.any():
-            raise ValueError("label map references a class ID outside the table")
-    is_thing_px[valid_cls] = thing_mask[cls[valid_cls]]
-    seg = np.where(is_thing_px, inst, 0)
-    codes[valid_cls] = cls[valid_cls] * (1 << 24) + seg[valid_cls]
-    return codes
+    ids, inverse, cls = pmap.unique_ids()
+    ids = ids.astype(np.int64)
+    cls = cls.astype(np.int64)
+    valid = (ids != VOID_INSTANCE) & (cls != classes.void_class)
+    if ((cls[valid] < 0) | (cls[valid] >= classes.num_classes)).any():
+        raise ValueError("label map references a class ID outside the table")
+    is_thing = np.zeros(ids.shape, dtype=bool)
+    is_thing[valid] = np.asarray(classes.is_thing, dtype=bool)[cls[valid]]
+    seg = np.where(is_thing, ids, 0)
+    codes = np.where(valid, cls * INSTANCE_ID_LIMIT + seg, -1)
+    return codes[inverse.reshape(-1)]
 
 
 def scene_pq(
@@ -150,21 +146,30 @@ def scene_pq(
     pred_codes = _segment_codes(pred, classes)
     gt_codes = _segment_codes(gt, classes)
 
-    gt_void = gt_codes == -1
-    pred_ids, pred_areas = np.unique(pred_codes[pred_codes != -1], return_counts=True)
-    gt_ids, gt_areas = np.unique(gt_codes[gt_codes != -1], return_counts=True)
+    valid = pred_codes != -1
+    pred_ids, pred_inv, pred_areas = np.unique(
+        pred_codes[valid], return_inverse=True, return_counts=True
+    )
+    # gt void (code -1) is kept as a segment so pairs with it are counted
+    gt_ids, gt_inv, gt_areas = np.unique(
+        gt_codes, return_inverse=True, return_counts=True
+    )
     pred_area = dict(zip(pred_ids.tolist(), pred_areas.tolist()))
     gt_area = dict(zip(gt_ids.tolist(), gt_areas.tolist()))
+    gt_area.pop(-1, None)
 
-    # joint histogram of (pred segment, gt segment) co-occurrences
-    valid = pred_codes != -1
-    pairs = np.stack([pred_codes[valid], gt_codes[valid]], axis=1)
-    pair_ids, pair_counts = np.unique(pairs, axis=0, return_counts=True)
+    # joint histogram of (pred segment, gt segment) co-occurrences, one
+    # collision-free key per pair of compacted segment indices
+    keys = pred_inv * gt_ids.size + gt_inv[valid]
+    pair_keys, pair_counts = np.unique(keys, return_counts=True)
+    pair_p, pair_g = np.divmod(pair_keys, gt_ids.size)
     inter: dict[tuple[int, int], int] = {}
     void_overlap: dict[int, int] = {}
-    for (p, g), count in zip(pair_ids.tolist(), pair_counts.tolist()):
+    for p, g, count in zip(
+        pred_ids[pair_p].tolist(), gt_ids[pair_g].tolist(), pair_counts.tolist()
+    ):
         if g == -1:
-            void_overlap[p] = void_overlap.get(p, 0) + count
+            void_overlap[p] = count
         else:
             inter[(p, g)] = count
 
@@ -176,7 +181,7 @@ def scene_pq(
     matched_pred: set[int] = set()
     matched_gt: set[int] = set()
     for (p, g), count in inter.items():
-        if p >> 24 != g >> 24:
+        if p // INSTANCE_ID_LIMIT != g // INSTANCE_ID_LIMIT:
             continue
         p_void = void_overlap.get(p, 0)
         union = pred_area[p] + gt_area[g] - count - p_void
@@ -184,22 +189,22 @@ def scene_pq(
             continue
         pair_iou = count / union
         if pair_iou > MATCH_IOU:
-            cid = p >> 24
+            cid = p // INSTANCE_ID_LIMIT
             st = stats(cid)
             st.tp += 1
             st.iou_sum += pair_iou
             matched_pred.add(p)
             matched_gt.add(g)
 
-    for g in gt_ids.tolist():
+    for g in gt_area:
         if g not in matched_gt:
-            stats(g >> 24).fn += 1
+            stats(g // INSTANCE_ID_LIMIT).fn += 1
     for p in pred_ids.tolist():
         if p in matched_pred:
             continue
         if void_exemption and void_overlap.get(p, 0) > 0.5 * pred_area[p]:
             continue
-        stats(p >> 24).fp += 1
+        stats(p // INSTANCE_ID_LIMIT).fp += 1
 
     report = PqReport(per_class=per_class, class_table=classes)
     present = [st for st in per_class.values()]

@@ -13,7 +13,7 @@ is the production solver.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,12 +37,14 @@ class QuboInstance:
         m = lin.shape[0]
         if quad.shape != (m, m):
             raise ValueError("quadratic matrix must be m x m")
+        if not (np.isfinite(lin).all() and np.isfinite(quad).all()):
+            raise ValueError("weights and overlaps must be finite")
         if not np.array_equal(quad, quad.T):
             raise ValueError("quadratic matrix must be symmetric")
         if lin.min(initial=0.0) < 0.0 or quad.min(initial=0.0) < 0.0:
             raise ValueError("weights and overlaps must be nonnegative")
-        if not self.penalty > 1.0:
-            raise ValueError("penalty must exceed 1")
+        if not 1.0 < self.penalty < math.inf:
+            raise ValueError("penalty must be finite and exceed 1")
         # the diagonal is unused; zero it so incremental updates need no masking
         quad = quad.copy()
         np.fill_diagonal(quad, 0.0)
@@ -70,22 +72,19 @@ class Assignment:
 
 @dataclass(frozen=True)
 class AnnealConfig:
-    """Simulated annealing schedule and initialization knobs."""
+    """Simulated annealing schedule. Every restart starts from the greedy
+    selection at temperature max(linear), or 1 if all weights are zero."""
 
     seed: int = 0
-    initial_temperature: float | str = "auto"
     cooling_rate: float = 0.97
     sweeps: int = 300
     restarts: int = 4
-    init_strategy: str = "greedy"  # empty | all_on | greedy
 
     def __post_init__(self):
         if not 0.0 < self.cooling_rate < 1.0:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.sweeps < 1 or self.restarts < 1:
             raise ValueError("sweeps and restarts must be >= 1")
-        if self.init_strategy not in ("empty", "all_on", "greedy"):
-            raise ValueError(f"unknown init_strategy {self.init_strategy!r}")
 
 
 def build_qubo(masks: SoftMaskSet, penalty: float = DEFAULT_PENALTY) -> QuboInstance:
@@ -95,8 +94,6 @@ def build_qubo(masks: SoftMaskSet, penalty: float = DEFAULT_PENALTY) -> QuboInst
     fuzzy overlap sum_k min(M_ik, M_jk), computed once per unordered pair so
     symmetry holds exactly.
     """
-    if not penalty > 1.0:
-        raise ValueError("penalty must exceed 1")
     m = masks.num_queries
     flat = masks.values.reshape(m, -1)
     linear = flat.sum(axis=1)
@@ -155,14 +152,9 @@ def solve_exact(q: QuboInstance) -> Assignment:
     return Assignment(bits, objective(q, bits))
 
 
-def _initial_bits(q: QuboInstance, strategy: str) -> np.ndarray:
-    m = q.num_vars
-    if strategy == "empty":
-        return np.zeros(m, dtype=bool)
-    if strategy == "all_on":
-        return np.ones(m, dtype=bool)
-    # greedy: add proposals in decreasing area order while each helps
-    u = np.zeros(m, dtype=bool)
+def _greedy_bits(q: QuboInstance) -> np.ndarray:
+    """Add proposals in decreasing area order while each helps."""
+    u = np.zeros(q.num_vars, dtype=bool)
     h = q.linear.copy()
     order = np.argsort(-q.linear, kind="stable")
     for i in order:
@@ -204,16 +196,12 @@ def _local_search(q: QuboInstance, u: np.ndarray) -> np.ndarray:
 def _anneal_once(q: QuboInstance, cfg: AnnealConfig, seed: int) -> np.ndarray:
     m = q.num_vars
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = _initial_bits(q, cfg.init_strategy).astype(np.float64)
+    u = _greedy_bits(q).astype(np.float64)
     h = q.linear - q.penalty * (q.quadratic @ u)
     obj = objective(q, u)
     best_obj = obj
     best_u = u.copy()
-
-    if cfg.initial_temperature == "auto":
-        temp = float(q.linear.max(initial=0.0)) or 1.0
-    else:
-        temp = float(cfg.initial_temperature)
+    temp = float(q.linear.max(initial=0.0)) or 1.0
 
     penalty = q.penalty
     quad = q.quadratic

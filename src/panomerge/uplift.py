@@ -46,10 +46,14 @@ class SplatWeightTable:
                 raise ValueError("view index out of range")
             if pix.min() < 0 or pix.max() >= self.height * self.width:
                 raise ValueError("pixel index out of range")
-            if w.min() < 0.0:
-                raise ValueError("weights must be nonnegative")
-            triples = np.stack([sid, view, pix], axis=1)
-            if np.unique(triples, axis=0).shape[0] != n:
+            # written so that NaN fails it too
+            if not (w.min() >= 0.0 and w.max() < np.inf):
+                raise ValueError("weights must be finite and nonnegative")
+            # sort rather than pack: G, N and H * W come from u32 file
+            # headers, so a packed triple key could overflow int64
+            order = np.lexsort((pix, view, sid))
+            s, v, p = sid[order], view[order], pix[order]
+            if ((s[1:] == s[:-1]) & (v[1:] == v[:-1]) & (p[1:] == p[:-1])).any():
                 raise ValueError("(splat, view, pixel) triples must be unique")
         object.__setattr__(self, "splat_ids", sid)
         object.__setattr__(self, "views", view)

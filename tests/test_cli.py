@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from panomerge.cli import main
-from panomerge.io import read_panoptic, write_tensor
+from panomerge.io import read_panoptic, read_tensor, write_tensor
 
 
 def run(args):
@@ -60,6 +60,18 @@ class TestSynthAndMerge:
         )
         assert code == 2
         assert "24" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["merge", "merge-baseline"])
+    def test_nan_mask_is_exit_2(self, scene_dir, tmp_path, capsys, command):
+        masks = read_tensor(scene_dir / "masks.pmt")
+        masks[0, 0, 0, 0] = np.nan
+        write_tensor(scene_dir / "masks.pmt", masks)
+        code = run(
+            [command, scene_dir / "masks.pmt", scene_dir / "classprobs.pmt",
+             "--out", tmp_path / "x.pmt"]
+        )
+        assert code == 2
+        assert "mask values" in capsys.readouterr().err
 
     def test_parse_error_is_exit_3(self, tmp_path):
         bad = tmp_path / "bad.pmt"

@@ -1,7 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
-from panomerge import ClassTable, SoftMaskSet, pairwise_overlap, weighted_area
+from panomerge import (
+    ClassTable,
+    PanopticMap,
+    SoftMaskSet,
+    pairwise_overlap,
+    weighted_area,
+)
 
 from conftest import make_mask_set, random_mask_set
 
@@ -120,3 +129,49 @@ class TestValidation:
     def test_void_class_must_not_collide(self):
         with pytest.raises(ValueError):
             ClassTable(("a", "b"), (True, False), void_class=1)
+
+    def test_nan_values_rejected(self):
+        values = np.full((1, 1, 2, 2), 0.5)
+        values[0, 0, 1, 1] = np.nan
+        with pytest.raises(ValueError):
+            make_mask_set(values)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_class_probs_rejected(self, bad):
+        with pytest.raises(ValueError):
+            make_mask_set(np.ones((1, 1, 2, 2)), class_probs=[[0.9, bad, 0.05]])
+
+
+@st.composite
+def labelled_maps(draw):
+    """A small instance map plus a mapping that may name IDs absent from it."""
+    ids = draw(st.lists(st.integers(1, (1 << 24) - 1), unique=True, max_size=6))
+    classes = draw(st.lists(st.integers(0, 2), min_size=len(ids), max_size=len(ids)))
+    shape = draw(st.tuples(*(st.integers(1, 4) for _ in range(3))))
+    inst = draw(arrays(np.int32, shape, elements=st.sampled_from([0, *ids])))
+    return inst, dict(zip(ids, classes))
+
+
+class TestPanopticMap:
+    @settings(max_examples=200, deadline=None)
+    @given(labelled_maps())
+    def test_class_ids_match_per_instance_fill(self, case):
+        inst, mapping = case
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        expected = np.full(inst.shape, table.void_class, dtype=np.int32)
+        for iid, cid in mapping.items():
+            expected[inst == iid] = cid
+        class_ids = PanopticMap.from_instances(inst, mapping, table).class_ids
+        assert class_ids.dtype == np.int32
+        np.testing.assert_array_equal(class_ids, expected)
+
+    @pytest.mark.parametrize("bad_id", [-1, 1 << 24])
+    def test_ids_outside_code_width_rejected(self, bad_id):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        with pytest.raises(ValueError):
+            PanopticMap.from_instances(np.array([[[0, bad_id]]]), {bad_id: 0}, table)
+
+    def test_instance_without_class_rejected(self):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        with pytest.raises(ValueError):
+            PanopticMap.from_instances(np.array([[[1, 2]]]), {1: 0}, table)

@@ -146,6 +146,15 @@ class TestScenePq:
         with pytest.raises(ValueError):
             scene_pq(a, b, table)
 
+    def test_widest_instance_ids_are_not_aliased(self, table):
+        top = (1 << 24) - 1
+        gt = pmap([[[1, top]]], {1: 1, top: 0}, table)
+        report = scene_pq(gt, gt, table)
+        assert {c: st.tp for c, st in report.per_class.items()} == {0: 1, 1: 1}
+        # as class << 24 | instance, instance 2^24 + 1 of class 0 is class 1
+        with pytest.raises(ValueError):
+            pmap([[[1, top + 2]]], {1: 1, top + 2: 0}, table)
+
     def test_thing_stuff_split(self, table):
         gt = np.zeros((1, 2, 4), dtype=int)
         gt[0, 0] = 1  # thing

@@ -198,3 +198,19 @@ class TestProperties:
         q = QuboInstance([3.0, 1.0, 2.0], np.zeros((3, 3)))
         assert solve_exact(q).bits.all()
         assert solve_anneal(q).bits.all()
+
+
+class TestQuboInstance:
+    @pytest.mark.parametrize(
+        "linear, quadratic, penalty",
+        [
+            ([1.0, np.nan], [[0.0, 0.0], [0.0, 0.0]], 2.0),
+            ([1.0, np.inf], [[0.0, 0.0], [0.0, 0.0]], 2.0),
+            ([1.0, 1.0], [[0.0, np.nan], [np.nan, 0.0]], 2.0),
+            ([1.0, 1.0], [[0.0, 0.0], [0.0, 0.0]], np.nan),
+            ([1.0, 1.0], [[0.0, 0.0], [0.0, 0.0]], np.inf),
+        ],
+    )
+    def test_non_finite_rejected(self, linear, quadratic, penalty):
+        with pytest.raises(ValueError, match="finite"):
+            QuboInstance(np.array(linear), np.array(quadratic), penalty)

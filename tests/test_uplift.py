@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from panomerge import (
     ClassTable,
@@ -174,3 +176,40 @@ class TestSplatWeightTable:
     def test_out_of_range_pixel_rejected(self):
         with pytest.raises(ValueError):
             make_table([[0, 0, 9, 1.0]], 1, 1, 1, 2)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_weight_rejected(self, bad):
+        with pytest.raises(ValueError):
+            make_table([[0, 0, 0, bad]], 1, 1, 1, 2)
+
+    # u32 splat and pixel IDs with u16 views: a packed (splat, view, pixel)
+    # key would need 80 bits.
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from([0, 1, 2**32 - 1]),
+                st.sampled_from([0, 2**16 - 1]),
+                st.sampled_from([0, 7, 2**32 - 1]),
+            ),
+            min_size=1,
+            max_size=10,
+        )
+    )
+    def test_rejects_exactly_the_duplicate_triples(self, triples):
+        duplicated = np.unique(np.array(triples), axis=0).shape[0] < len(triples)
+        table = {
+            "num_splats": 2**32,
+            "num_views": 2**16,
+            "height": 2**16,
+            "width": 2**16,
+            "splat_ids": np.array([t[0] for t in triples]),
+            "views": np.array([t[1] for t in triples]),
+            "pixels": np.array([t[2] for t in triples]),
+            "weights": np.ones(len(triples)),
+        }
+        if duplicated:
+            with pytest.raises(ValueError):
+                SplatWeightTable(**table)
+        else:
+            SplatWeightTable(**table)
