@@ -199,10 +199,13 @@ def cmd_render_labels(args) -> int:
     field = SplatLabelField(dist, observed)
     views = range(splats.num_views) if args.view is None else [args.view]
     rendered = np.stack([render_labels(field, splats, v) for v in views])
-    mapping = {
-        i: labels.instance_to_class[i]
-        for i in (set(np.unique(rendered).tolist()) - {0})
-    }
+    ids = set(np.unique(rendered).tolist()) - {0}
+    missing = sorted(ids - labels.instance_to_class.keys())
+    if missing:
+        raise ValueError(
+            f"{args.labels}: no class for rendered instance ID(s) {missing}"
+        )
+    mapping = {i: labels.instance_to_class[i] for i in ids}
     pmap = PanopticMap.from_instances(rendered, mapping, labels.class_table)
     pio.write_panoptic(args.out, pmap)
     print(f"rendered {rendered.shape[0]} view(s)")
@@ -226,13 +229,14 @@ def cmd_fps(args) -> int:
 def cmd_solve_qubo(args) -> int:
     try:
         doc = json.loads(Path(args.instance).read_text())
-        q = QuboInstance(
+        fields = (
             np.asarray(doc["linear"], dtype=np.float64),
             np.asarray(doc["quadratic"], dtype=np.float64),
             float(doc.get("penalty", 2.0)),
         )
-    except (KeyError, json.JSONDecodeError) as exc:
+    except pio.JSON_FIELD_ERRORS as exc:
         raise pio.FormatError(f"{args.instance}: bad QUBO instance: {exc}") from exc
+    q = QuboInstance(*fields)
     if args.exact:
         result = solve_exact(q)
     else:

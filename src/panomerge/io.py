@@ -12,6 +12,7 @@ SplatFile:    magic "PSW1", counts G, N, H, W (u32 LE), then a stream of
 from __future__ import annotations
 
 import json
+import os
 import struct
 from pathlib import Path
 
@@ -33,6 +34,12 @@ _SPLAT_RECORD = np.dtype(
 
 class FormatError(Exception):
     """Raised when a file does not conform to one of the binary formats."""
+
+
+# What reading fields out of parsed JSON raises when the document has the
+# wrong shape: a missing key, a list where a dict belongs, a non-numeric or
+# infinite number. ValueError covers JSONDecodeError and UnicodeDecodeError.
+JSON_FIELD_ERRORS = (KeyError, TypeError, AttributeError, OverflowError, ValueError)
 
 
 def write_tensor(path, array: np.ndarray) -> None:
@@ -82,7 +89,6 @@ def write_panoptic(path, pmap: PanopticMap) -> None:
     inst = pmap.instance_ids
     if inst.max(initial=0) > np.iinfo(np.uint16).max:
         raise ValueError("instance IDs exceed u16 range")
-    write_tensor(path, inst.astype(np.uint16))
     sidecar = {
         "instance_to_class": {str(k): int(v) for k, v in pmap.instance_to_class.items()},
         "class_table": {
@@ -91,7 +97,18 @@ def write_panoptic(path, pmap: PanopticMap) -> None:
         },
         "void_id": 0,
     }
-    _sidecar(path).write_text(json.dumps(sidecar, indent=1, sort_keys=True))
+    # Stage both files next to their targets, then move each into place, so
+    # a crash while writing never leaves a half-written tensor or sidecar.
+    targets = (Path(path), _sidecar(path))
+    staged = [t.with_name(f".{t.name}.{os.urandom(4).hex()}.tmp") for t in targets]
+    try:
+        write_tensor(staged[0], inst.astype(np.uint16))
+        staged[1].write_text(json.dumps(sidecar, indent=1, sort_keys=True))
+        for tmp, target in zip(staged, targets):
+            os.replace(tmp, target)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
 
 
 def read_panoptic(path) -> PanopticMap:
@@ -105,7 +122,7 @@ def read_panoptic(path) -> PanopticMap:
             tuple(meta["class_table"]["is_thing"]),
         )
         mapping = {int(k): int(v) for k, v in meta["instance_to_class"].items()}
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except JSON_FIELD_ERRORS as exc:
         raise FormatError(f"{_sidecar(path)}: bad sidecar: {exc}") from exc
     return PanopticMap.from_instances(inst.astype(np.int32), mapping, table)
 
@@ -119,7 +136,7 @@ def read_class_table(path) -> ClassTable:
     try:
         meta = json.loads(Path(path).read_text())
         return ClassTable(tuple(meta["names"]), tuple(meta["is_thing"]))
-    except (KeyError, ValueError, json.JSONDecodeError) as exc:
+    except JSON_FIELD_ERRORS as exc:
         raise FormatError(f"{path}: bad class table: {exc}") from exc
 
 

@@ -66,6 +66,28 @@ def _empty_map(masks: SoftMaskSet) -> PanopticMap:
     )
 
 
+def _scatter_argmax(
+    flat: np.ndarray, queries: np.ndarray, weights: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Per pixel, the largest of weights[k] * flat[queries[k]] over k and the
+    first k attaining it: np.argmax over the stacked rows, ties and all-zero
+    pixels (value 0, winner 0) included, for nonnegative values and weights.
+
+    Starts from value 0 and winner 0, visits the queries in order and takes a
+    pixel only on a strictly larger value, so each query touches only its
+    nonzero pixels and no (k, pixels) stack is built.
+    """
+    best = np.zeros(flat.shape[1], dtype=np.float64)
+    winner = np.zeros(flat.shape[1], dtype=np.intp)
+    for k, q in enumerate(queries.tolist()):
+        idx = np.flatnonzero(flat[q])
+        vals = weights[k] * flat[q, idx]
+        better = vals > best[idx]
+        best[idx[better]] = vals[better]
+        winner[idx[better]] = k
+    return best, winner
+
+
 def _assemble(
     masks: SoftMaskSet, instance_ids: np.ndarray, queries: list[int]
 ) -> PanopticMap:
@@ -97,7 +119,12 @@ def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMa
             warnings.warn("confidence prefilter removed every query; output is void")
             return _empty_map(masks)
 
-    sub = SoftMaskSet(masks.values[keep], masks.class_probs[keep], masks.class_table)
+    if keep.size == masks.num_queries:
+        sub = masks
+    else:
+        sub = SoftMaskSet(
+            masks.values[keep], masks.class_probs[keep], masks.class_table
+        )
     instance = build_qubo(sub, cfg.penalty)
     if cfg.solver == "exact":
         assignment = solve_exact(instance)
@@ -108,11 +135,13 @@ def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMa
         warnings.warn("QUBO selected no proposals; output is void")
         return _empty_map(masks)
 
-    vals = masks.values[selected]  # (k, N, H, W)
-    winner = np.argmax(vals, axis=0)
-    win_val = np.take_along_axis(vals, winner[None], axis=0)[0]
+    flat = masks.values.reshape(masks.num_queries, -1)
+    # a weight of 1.0 leaves every value exactly as it is
+    win_val, winner = _scatter_argmax(flat, selected, np.ones(selected.size))
     instance_ids = np.where(win_val >= cfg.void_threshold, winner + 1, 0)
-    return _assemble(masks, instance_ids, selected.tolist())
+    return _assemble(
+        masks, instance_ids.reshape(masks.values.shape[1:]), selected.tolist()
+    )
 
 
 def merge_baseline(
@@ -125,6 +154,9 @@ def merge_baseline(
     mask value is below 0.5); in each view, queries lacking sufficient vote
     support against their own thresholded mask area there are dropped from
     that view and their pixels re-voided.
+
+    The vote visits each kept query's nonzero pixels only (a scatter-max),
+    and the per-view supports are one histogram over the winners.
     """
     cfg = cfg or BaselineConfig()
     conf = masks.class_probs.max(axis=1)
@@ -132,18 +164,24 @@ def merge_baseline(
     if keep.size == 0:
         return _empty_map(masks)
 
-    vals = masks.values[keep]  # (k, N, H, W)
-    scores = conf[keep][:, None, None, None] * vals
-    winner = np.argmax(scores, axis=0)  # (N, H, W)
-    win_mask_val = np.take_along_axis(vals, winner[None], axis=0)[0]
-    labeled = win_mask_val >= 0.5
+    n = masks.num_views
+    flat = masks.values.reshape(masks.num_queries, -1)
+    _, winner = _scatter_argmax(flat, keep, conf[keep])
+    win_mask_val = np.take_along_axis(flat, keep[winner][None], axis=0)[0]
+    labeled = (win_mask_val >= 0.5).reshape(n, -1)
+    winner = winner.reshape(n, -1)
 
-    for v in range(masks.num_views):
-        for k in range(keep.size):
-            area = int(np.count_nonzero(vals[k, v] >= 0.5))
-            support = int(np.count_nonzero((winner[v] == k) & labeled[v]))
-            if area == 0 or support < cfg.vote_support_threshold * area:
-                labeled[v] &= winner[v] != k
+    # Dropping query k in view v un-labels only pixels whose winner is k, so
+    # every (view, query) vote support can be counted before any is dropped.
+    # A query with no area in a view has no labeled pixels there to drop.
+    views = np.arange(n)[:, None]
+    area = np.array(
+        [np.count_nonzero(flat[q].reshape(n, -1) >= 0.5, axis=1) for q in keep]
+    ).T  # (N, k)
+    votes = (views * keep.size + winner)[labeled]
+    support = np.bincount(votes, minlength=area.size).reshape(area.shape)
+    drop = support < cfg.vote_support_threshold * area
+    labeled &= ~drop[views, winner]
 
     instance_ids = np.where(labeled, winner + 1, 0)
-    return _assemble(masks, instance_ids, keep.tolist())
+    return _assemble(masks, instance_ids.reshape(masks.values.shape[1:]), keep.tolist())

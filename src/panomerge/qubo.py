@@ -93,16 +93,25 @@ def build_qubo(masks: SoftMaskSet, penalty: float = DEFAULT_PENALTY) -> QuboInst
     linear[i] is the weighted area of proposal i; quadratic[i, j] the pairwise
     fuzzy overlap sum_k min(M_ik, M_jk), computed once per unordered pair so
     symmetry holds exactly.
+
+    The overlaps visit supports only: packed nonzero bits find the later
+    proposals j whose support meets that of i, and the minimum is summed over
+    i's support alone (outside it the minimum is 0). Pairs with disjoint
+    supports stay exactly 0.
     """
     m = masks.num_queries
     flat = masks.values.reshape(m, -1)
     linear = flat.sum(axis=1)
     quad = np.zeros((m, m), dtype=np.float64)
-    for i in range(m):
-        for j in range(i + 1, m):
-            ov = float(np.minimum(flat[i], flat[j]).sum())
-            quad[i, j] = ov
-            quad[j, i] = ov
+    bits = np.packbits(flat > 0.0, axis=1)
+    for i in range(m - 1):
+        cols = np.flatnonzero(bits[i])
+        js = i + 1 + np.flatnonzero((bits[i + 1 :, cols] & bits[i, cols]).any(axis=1))
+        if js.size:
+            idx = np.flatnonzero(flat[i])
+            ov = np.minimum(flat[js[:, None], idx], flat[i, idx]).sum(axis=1)
+            quad[i, js] = ov
+            quad[js, i] = ov
     return QuboInstance(linear, quad, penalty)
 
 

@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .masks import ClassTable, PanopticMap, SoftMaskSet
 from .uplift import SplatWeightTable
@@ -152,6 +151,9 @@ def _corrupt_views(
     spec: SceneSpec,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    # imported here so that only scene generation pays for scipy.ndimage
+    from scipy import ndimage
+
     cor = spec.corruption
     out = np.zeros((spec.num_views, spec.height, spec.width))
     for v, (r, c) in enumerate(windows):

@@ -1,10 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
 from panomerge.cli import main
-from panomerge.io import read_panoptic, read_tensor, write_tensor
+from panomerge.io import read_panoptic, read_tensor, write_panoptic, write_tensor
+from panomerge.masks import PanopticMap
 
 
 def run(args):
@@ -16,6 +20,18 @@ def scene_dir(tmp_path):
     out = tmp_path / "scene"
     assert run(["synth", "--out", out, "--seed", "5"]) == 0
     return out
+
+
+def test_cli_import_skips_heavy_scipy_modules():
+    code = (
+        "import sys, panomerge.cli; "
+        "print([m for m in ('scipy.ndimage', 'scipy.sparse') if m in sys.modules])"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
+    ).stdout
+    assert out.strip() == "[]"
 
 
 class TestSynthAndMerge:
@@ -79,6 +95,14 @@ class TestSynthAndMerge:
         code = run(["merge", bad, bad, "--out", tmp_path / "x.pmt"])
         assert code == 3
 
+    def test_class_table_of_wrong_shape_is_exit_3(self, scene_dir, tmp_path):
+        (scene_dir / "classprobs.json").write_text('"x"')
+        code = run(
+            ["merge", scene_dir / "masks.pmt", scene_dir / "classprobs.pmt",
+             "--out", tmp_path / "x.pmt"]
+        )
+        assert code == 3
+
 
 class TestEvalPq:
     def test_identity_pq_100(self, scene_dir, tmp_path, capsys):
@@ -122,6 +146,22 @@ class TestEvalPq:
         write_panoptic(base, odd)
         assert run(["eval-pq", base, scene_dir / "gt.pmt"]) == 2
 
+    @pytest.mark.parametrize(
+        "sidecar",
+        [
+            [1, 2],
+            {"class_table": {"names": ["a"], "is_thing": [True]},
+             "instance_to_class": [1, 2]},
+            {"class_table": "x", "instance_to_class": {}},
+            {"class_table": {"names": 5, "is_thing": [True]},
+             "instance_to_class": {}},
+        ],
+    )
+    def test_sidecar_of_wrong_shape_is_exit_3(self, scene_dir, sidecar, capsys):
+        (scene_dir / "gt.json").write_text(json.dumps(sidecar))
+        assert run(["eval-pq", scene_dir / "gt.pmt", scene_dir / "gt.pmt"]) == 3
+        assert "bad sidecar" in capsys.readouterr().err
+
     def test_dataset_mode_means_scene_pqs(self, tmp_path, capsys):
         pred_dir = tmp_path / "pred"
         gt_dir = tmp_path / "gt"
@@ -164,6 +204,31 @@ class TestUpliftRender:
         assert run(["eval-pq", rendered, scene_dir / "gt.pmt"]) == 0
         report = json.loads(capsys.readouterr().out)
         assert report["pq"] == 100.0
+
+    def test_labels_lacking_a_rendered_id_is_exit_2(
+        self, scene_dir, tmp_path, capsys
+    ):
+        field = tmp_path / "field.pmt"
+        assert run(
+            ["uplift", scene_dir / "gt.pmt", scene_dir / "splats.psw",
+             "--out", field]
+        ) == 0
+        gt = read_panoptic(scene_dir / "gt.pmt")
+        void = tmp_path / "void.pmt"
+        write_panoptic(
+            void,
+            PanopticMap.from_instances(
+                np.zeros_like(gt.instance_ids), {}, gt.class_table
+            ),
+        )
+        capsys.readouterr()
+        code = run(
+            ["render-labels", field, scene_dir / "splats.psw", void,
+             "--out", tmp_path / "r.pmt"]
+        )
+        assert code == 2
+        first_id = min(set(np.unique(gt.instance_ids).tolist()) - {0})
+        assert f"[{first_id}," in capsys.readouterr().err
 
 
 class TestFps:
@@ -215,3 +280,25 @@ class TestSolveQubo:
         path = tmp_path / "q.json"
         path.write_text("{not json")
         assert run(["solve-qubo", path]) == 3
+
+    @pytest.mark.parametrize(
+        "doc",
+        [
+            b"[1, 2]",
+            b'"x"',
+            b'{"linear": 1, "quadratic": {"a": 1}}',
+            b'{"linear": ["a"], "quadratic": [["b"]]}',
+            b"\xff\xfe{",
+        ],
+    )
+    def test_instance_of_wrong_shape_is_exit_3(self, tmp_path, doc):
+        path = tmp_path / "q.json"
+        path.write_bytes(doc)
+        assert run(["solve-qubo", path]) == 3
+
+    def test_invalid_instance_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "q.json"
+        asymmetric = {"linear": [1.0, 1.0], "quadratic": [[0, 1], [2, 0]]}
+        path.write_text(json.dumps(asymmetric))
+        assert run(["solve-qubo", path]) == 2
+        assert "symmetric" in capsys.readouterr().err

@@ -1,6 +1,13 @@
+import json
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import panomerge.io as pio
 from panomerge import ClassTable, PanopticMap, SceneSpec, generate_scene
 from panomerge.io import (
     FormatError,
@@ -136,3 +143,139 @@ class TestSplatFile:
         path.write_bytes(path.read_bytes()[:-3])
         with pytest.raises(FormatError):
             read_splats(path)
+
+
+class TestCrashSafeWrite:
+    def small_map(self, fill):
+        table = ClassTable(("chair", "wall"), (True, False))
+        return PanopticMap.from_instances(
+            np.full((2, 3, 4), fill, dtype=np.int32), {fill: 0}, table
+        )
+
+    def test_failed_write_keeps_old_pair_and_leaves_no_temp(
+        self, tmp_path, monkeypatch
+    ):
+        base = tmp_path / "map.pmt"
+        write_panoptic(base, self.small_map(1))
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def half_written(path, array):
+            Path(path).write_bytes(b"PMT1")
+            raise OSError("disk full")
+
+        monkeypatch.setattr(pio, "write_tensor", half_written)
+        with pytest.raises(OSError):
+            write_panoptic(base, self.small_map(2))
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
+    def test_overwrite_leaves_only_the_pair(self, tmp_path):
+        base = tmp_path / "map.pmt"
+        write_panoptic(base, self.small_map(1))
+        write_panoptic(base, self.small_map(2))
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "map.pmt"]
+        assert read_panoptic(base).instance_to_class == {2: 0}
+
+
+def mangled(data: bytes):
+    """Truncations, byte overwrites and appended junk of a valid file."""
+    return st.one_of(
+        st.integers(0, len(data)).map(lambda n: data[:n]),
+        st.tuples(
+            st.integers(0, len(data) - 1), st.binary(min_size=1, max_size=8)
+        ).map(lambda t: data[: t[0]] + t[1] + data[t[0] + len(t[1]) :]),
+        st.binary(max_size=16).map(lambda junk: data + junk),
+        st.binary(max_size=64),
+    )
+
+
+def _valid_files():
+    _, _, splats = generate_scene(SceneSpec(seed=2, num_views=1, height=4, width=4))
+    table = ClassTable(("chair", "wall"), (True, False))
+    pmap = PanopticMap.from_instances(np.ones((1, 2, 2), np.int32), {1: 0}, table)
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        write_tensor(tmp / "t.pmt", np.arange(12, dtype=np.float32).reshape(3, 4))
+        write_splats(tmp / "s.psw", splats)
+        write_panoptic(tmp / "p.pmt", pmap)
+        return tuple(
+            (tmp / name).read_bytes() for name in ("t.pmt", "s.psw", "p.pmt")
+        ) + ((tmp / "p.json").read_text(),)
+
+
+TENSOR_BYTES, SPLAT_BYTES, PANOPTIC_BYTES, PANOPTIC_SIDECAR = _valid_files()
+READ_ERRORS = (FormatError, OSError, ValueError)
+
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+    max_leaves=8,
+)
+# sidecars that keep the expected keys but put arbitrary JSON under them
+sidecar_docs = st.fixed_dictionaries(
+    {},
+    optional={
+        "class_table": st.one_of(
+            json_values,
+            st.fixed_dictionaries(
+                {"names": json_values, "is_thing": json_values}
+            ),
+        ),
+        "instance_to_class": st.one_of(
+            json_values, st.dictionaries(st.text(max_size=3), json_values)
+        ),
+    },
+)
+
+
+class TestMalformedInput:
+    """Garbled files may raise FormatError, OSError or ValueError, never
+    anything the CLI would turn into a traceback."""
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(mangled(TENSOR_BYTES))
+    def test_read_tensor(self, tmp_path, data):
+        path = tmp_path / "t.pmt"
+        path.write_bytes(data)
+        try:
+            read_tensor(path)
+        except READ_ERRORS:
+            pass
+
+    @settings(
+        max_examples=200, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(mangled(SPLAT_BYTES))
+    def test_read_splats(self, tmp_path, data):
+        path = tmp_path / "s.psw"
+        path.write_bytes(data)
+        try:
+            read_splats(path)
+        except READ_ERRORS:
+            pass
+
+    @settings(
+        max_examples=300, deadline=None,
+        suppress_health_check=[HealthCheck.function_scoped_fixture],
+    )
+    @given(
+        st.one_of(st.just(PANOPTIC_BYTES), mangled(PANOPTIC_BYTES)),
+        st.one_of(
+            st.just(PANOPTIC_SIDECAR),
+            json_values.map(json.dumps),
+            sidecar_docs.map(json.dumps),
+            st.binary(max_size=32).map(lambda b: b.decode("latin-1")),
+        ),
+    )
+    def test_read_panoptic(self, tmp_path, tensor, sidecar):
+        base = tmp_path / "p.pmt"
+        base.write_bytes(tensor)
+        (tmp_path / "p.json").write_bytes(sidecar.encode("latin-1"))
+        try:
+            read_panoptic(base)
+        except READ_ERRORS:
+            pass

@@ -1,7 +1,13 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panomerge import (
+    AnnealConfig,
     BaselineConfig,
     CorruptionSpec,
     MergeConfig,
@@ -11,8 +17,102 @@ from panomerge import (
     merge_qubo,
     scene_pq,
 )
+from panomerge.masks import PanopticMap, SoftMaskSet
+from panomerge.qubo import QuboInstance, solve_anneal, solve_exact
 
 from conftest import make_mask_set
+
+
+# Dense oracles: the merge kernels as they were before they were restricted
+# to mask supports. Each stacks the (k, N, H, W) values and takes np.argmax.
+
+
+def dense_build_qubo(masks, penalty):
+    m = masks.num_queries
+    flat = masks.values.reshape(m, -1)
+    quad = np.zeros((m, m))
+    for i in range(m):
+        for j in range(i + 1, m):
+            quad[i, j] = quad[j, i] = float(np.minimum(flat[i], flat[j]).sum())
+    return QuboInstance(flat.sum(axis=1), quad, penalty)
+
+
+def dense_assemble(masks, instance_ids, queries):
+    instance_to_class = {
+        k + 1: int(np.argmax(masks.class_probs[q])) for k, q in enumerate(queries)
+    }
+    present = set(np.unique(instance_ids).tolist()) - {0}
+    instance_to_class = {i: c for i, c in instance_to_class.items() if i in present}
+    return PanopticMap.from_instances(
+        instance_ids.astype(np.int32), instance_to_class, masks.class_table
+    )
+
+
+def dense_empty(masks):
+    shape = (masks.num_views, masks.height, masks.width)
+    return PanopticMap.from_instances(np.zeros(shape, np.int32), {}, masks.class_table)
+
+
+def dense_merge_qubo(masks, cfg):
+    keep = np.arange(masks.num_queries)
+    if cfg.confidence_prefilter is not None:
+        conf = masks.class_probs.max(axis=1)
+        keep = keep[conf >= cfg.confidence_prefilter]
+        if keep.size == 0:
+            return dense_empty(masks)
+    sub = SoftMaskSet(masks.values[keep], masks.class_probs[keep], masks.class_table)
+    instance = dense_build_qubo(sub, cfg.penalty)
+    if cfg.solver == "exact":
+        assignment = solve_exact(instance)
+    else:
+        assignment = solve_anneal(instance, cfg.anneal)
+    selected = keep[assignment.selected()]
+    if selected.size == 0:
+        return dense_empty(masks)
+    vals = masks.values[selected]
+    winner = np.argmax(vals, axis=0)
+    win_val = np.take_along_axis(vals, winner[None], axis=0)[0]
+    instance_ids = np.where(win_val >= cfg.void_threshold, winner + 1, 0)
+    return dense_assemble(masks, instance_ids, selected.tolist())
+
+
+def dense_merge_baseline(masks, cfg):
+    conf = masks.class_probs.max(axis=1)
+    keep = np.flatnonzero(conf >= cfg.confidence_threshold)
+    if keep.size == 0:
+        return dense_empty(masks)
+    vals = masks.values[keep]
+    scores = conf[keep][:, None, None, None] * vals
+    winner = np.argmax(scores, axis=0)
+    win_mask_val = np.take_along_axis(vals, winner[None], axis=0)[0]
+    labeled = win_mask_val >= 0.5
+    for v in range(masks.num_views):
+        for k in range(keep.size):
+            area = int(np.count_nonzero(vals[k, v] >= 0.5))
+            support = int(np.count_nonzero((winner[v] == k) & labeled[v]))
+            if area == 0 or support < cfg.vote_support_threshold * area:
+                labeled[v] &= winner[v] != k
+    instance_ids = np.where(labeled, winner + 1, 0)
+    return dense_assemble(masks, instance_ids, keep.tolist())
+
+
+@st.composite
+def quantized_mask_sets(draw):
+    """Sparse masks and class scores on a coarse grid, so per-pixel ties,
+    all-zero pixels and tied confidences are common, and every overlap sum
+    is exact in float64 whatever the summation order."""
+    m = draw(st.integers(1, 6))
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)))
+    grid = st.sampled_from([0.25, 0.5, 0.75, 1.0])
+    values = draw(arrays(np.float64, (m, *shape), elements=grid, fill=st.just(0.0)))
+    probs = draw(arrays(np.float64, (m, 3), elements=st.sampled_from([0.0, 0.5, 1.0])))
+    return make_mask_set(values, class_probs=probs)
+
+
+def assert_same_map(a, b):
+    np.testing.assert_array_equal(a.instance_ids, b.instance_ids)
+    assert a.instance_ids.dtype == b.instance_ids.dtype
+    assert a.instance_to_class == b.instance_to_class
 
 
 class TestMergeQubo:
@@ -87,6 +187,26 @@ class TestMergeQubo:
             assert (result.class_ids[result.instance_ids == iid] == cid).all()
 
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        quantized_mask_sets(),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([None, 0.5, 1.0]),
+        st.sampled_from(["exact", "anneal"]),
+    )
+    def test_matches_dense_oracle(self, masks, void_threshold, prefilter, solver):
+        cfg = MergeConfig(
+            void_threshold=void_threshold,
+            confidence_prefilter=prefilter,
+            solver=solver,
+            anneal=AnnealConfig(sweeps=20, restarts=2),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            result = merge_qubo(masks, cfg)
+        assert_same_map(result, dense_merge_qubo(masks, cfg))
+
+
 class TestMergeBaseline:
     def test_single_confident_query(self):
         masks = make_mask_set(np.ones((1, 2, 3, 3)))
@@ -134,3 +254,16 @@ class TestMergeBaseline:
         result = merge_baseline(proposals)
         for iid, cid in result.instance_to_class.items():
             assert (result.class_ids[result.instance_ids == iid] == cid).all()
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        quantized_mask_sets(),
+        st.sampled_from([0.0, 0.5, 1.0]),
+        st.sampled_from([0.0, 0.5, 1.0]),
+    )
+    def test_matches_dense_oracle(self, masks, conf_threshold, vote_threshold):
+        cfg = BaselineConfig(
+            confidence_threshold=conf_threshold,
+            vote_support_threshold=vote_threshold,
+        )
+        assert_same_map(merge_baseline(masks, cfg), dense_merge_baseline(masks, cfg))

@@ -2,6 +2,9 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panomerge import (
     AnnealConfig,
@@ -24,6 +27,24 @@ def random_instance(rng, m):
     quad = (quad + quad.T) / 2.0
     np.fill_diagonal(quad, 0.0)
     return QuboInstance(lin, quad, penalty=2.0)
+
+
+@st.composite
+def sparse_masks(draw):
+    """(m, N, H, W) soft masks, mostly zero, some identical or disjoint rows."""
+    m = draw(st.integers(1, 6))
+    shape = draw(st.tuples(*(st.integers(1, 5) for _ in range(3))))
+    values = draw(
+        arrays(
+            np.float64,
+            (m, *shape),
+            elements=st.floats(0.0, 1.0, allow_subnormal=False),
+            fill=st.just(0.0),
+        )
+    )
+    if m > 1 and draw(st.booleans()):
+        values[-1] = values[0]
+    return values
 
 
 class TestBuildQubo:
@@ -56,6 +77,24 @@ class TestBuildQubo:
     def test_penalty_must_exceed_one(self):
         with pytest.raises(ValueError):
             build_qubo(make_mask_set(np.ones((1, 1, 2, 2))), penalty=1.0)
+
+    @settings(max_examples=150, deadline=None)
+    @given(sparse_masks())
+    def test_support_restricted_build_matches_dense_oracles(self, values):
+        masks = make_mask_set(values)
+        q = build_qubo(masks)
+        m = masks.num_queries
+        assert np.array_equal(q.quadratic, q.quadratic.T)
+        support = values.reshape(m, -1) > 0.0
+        for i in range(m):
+            assert q.linear[i] == pytest.approx(weighted_area(masks, i), rel=1e-9)
+            for j in range(i + 1, m):
+                if not (support[i] & support[j]).any():
+                    assert q.quadratic[i, j] == 0.0
+                else:
+                    assert q.quadratic[i, j] == pytest.approx(
+                        pairwise_overlap(masks, i, j), rel=1e-9
+                    )
 
 
 class TestObjective:
