@@ -195,8 +195,7 @@ def cmd_render_labels(args) -> int:
     dist = pio.read_tensor(args.field).astype(np.float64)
     splats = pio.read_splats(args.splats)
     labels = pio.read_panoptic(args.labels)
-    observed = dist.sum(axis=1) > 0.0
-    field = SplatLabelField(dist, observed)
+    field = SplatLabelField(dist)
     views = range(splats.num_views) if args.view is None else [args.view]
     rendered = np.stack([render_labels(field, splats, v) for v in views])
     ids = set(np.unique(rendered).tolist()) - {0}

@@ -13,8 +13,9 @@ import numpy as np
 
 VOID_INSTANCE = 0
 DEFAULT_VOID_CLASS = 65535
-# Instance IDs lie in [0, INSTANCE_ID_LIMIT); scene PQ packs a segment as
-# class * INSTANCE_ID_LIMIT + instance, so a wider ID would alias classes.
+# Instance IDs lie in [0, INSTANCE_ID_LIMIT): 0 is void, no ID is negative,
+# and the int32 label maps that merging, io and uplift build hold every ID
+# exactly. Scene PQ keys segments by position, so it does not rely on this.
 INSTANCE_ID_LIMIT = 1 << 24
 
 
@@ -39,12 +40,6 @@ class ClassTable:
     @property
     def num_classes(self) -> int:
         return len(self.names)
-
-    def thing_ids(self) -> list[int]:
-        return [i for i, t in enumerate(self.is_thing) if t]
-
-    def stuff_ids(self) -> list[int]:
-        return [i for i, t in enumerate(self.is_thing) if not t]
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import INSTANCE_ID_LIMIT, VOID_INSTANCE, ClassTable, PanopticMap
+from .masks import VOID_INSTANCE, ClassTable, PanopticMap
 
 MATCH_IOU = 0.5
 
@@ -92,36 +92,31 @@ class PqReport:
             "per_class": rows,
         }
 
-    def to_text(self) -> str:
-        lines = [
-            f"pq {self.pq:.4f}",
-            f"sq {self.sq:.4f}",
-            f"rq {self.rq:.4f}",
-            f"pq_things {self.pq_things:.4f}",
-            f"pq_stuff {self.pq_stuff:.4f}",
-        ]
-        return "\n".join(lines)
 
+def _segments(
+    pmap: PanopticMap, classes: ClassTable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Each pixel's segment index, flattened over all views, and each
+    segment's class, built from the per-ID table of `unique_ids()`.
 
-def _segment_codes(pmap: PanopticMap, classes: ClassTable) -> np.ndarray:
-    """Encode each pixel as class * INSTANCE_ID_LIMIT + segment, flattened
-    over all views; codes are computed once per distinct instance ID.
-
-    Thing pixels keep their instance ID as the segment part; stuff pixels of a
-    class collapse to segment 0, merging them into one scene-wide segment.
-    Void pixels get code -1.
+    Every thing ID is its own segment; the stuff IDs of a class share one
+    scene-wide segment. Segments are ordered by (class, instance ID). Void
+    pixels, and IDs mapped to the void class, get index n (the segment count).
     """
     ids, inverse, cls = pmap.unique_ids()
-    ids = ids.astype(np.int64)
-    cls = cls.astype(np.int64)
-    valid = (ids != VOID_INSTANCE) & (cls != classes.void_class)
+    valid = np.flatnonzero((ids != VOID_INSTANCE) & (cls != classes.void_class))
     if ((cls[valid] < 0) | (cls[valid] >= classes.num_classes)).any():
         raise ValueError("label map references a class ID outside the table")
-    is_thing = np.zeros(ids.shape, dtype=bool)
-    is_thing[valid] = np.asarray(classes.is_thing, dtype=bool)[cls[valid]]
-    seg = np.where(is_thing, ids, 0)
-    codes = np.where(valid, cls * INSTANCE_ID_LIMIT + seg, -1)
-    return codes[inverse.reshape(-1)]
+    # IDs ascend, so a stable sort by class orders them as (class, ID)
+    order = valid[np.argsort(cls[valid], kind="stable")]
+    seg_cls = cls[order]
+    # a thing ID opens a segment; a stuff ID only where its class starts
+    opens = np.asarray(classes.is_thing, dtype=bool)[seg_cls]
+    opens[1:] |= seg_cls[1:] != seg_cls[:-1]
+    opens[:1] = True
+    seg = np.full(ids.size, np.count_nonzero(opens), dtype=np.int64)
+    seg[order] = np.cumsum(opens) - 1
+    return seg[inverse].ravel(), seg_cls[opens]
 
 
 def scene_pq(
@@ -132,79 +127,61 @@ def scene_pq(
 ) -> PqReport:
     """Panoptic Quality over the concatenation of all views of a scene.
 
-    A (pred, gt) segment pair of the same class is a true positive iff its
-    IoU exceeds 0.5, which guarantees one-to-one matching. Ground-truth void
-    pixels are excluded from IoU denominators, and (unless disabled) an
-    unmatched predicted segment majority-covered by gt void is exempt from
-    the false-positive count.
+    Each map becomes a segment table (things one segment per instance, stuff
+    one per class; see `_segments`), and one histogram of (pred segment,
+    gt segment or gt void) pixel pairs gives every area and intersection.
+    A same-class pair is a true positive iff its IoU exceeds 0.5, which
+    guarantees one-to-one matching. Ground-truth void pixels are excluded
+    from IoU denominators, and (unless disabled) an unmatched predicted
+    segment majority-covered by gt void is exempt from the false-positive
+    count.
     """
     if pred.instance_ids.shape != gt.instance_ids.shape:
         raise ValueError(
             "shape mismatch: pred "
             f"{pred.instance_ids.shape} vs gt {gt.instance_ids.shape}"
         )
-    pred_codes = _segment_codes(pred, classes)
-    gt_codes = _segment_codes(gt, classes)
+    pred_seg, pred_cls = _segments(pred, classes)
+    gt_seg, gt_cls = _segments(gt, classes)
+    n_pred, n_gt = pred_cls.size, gt_cls.size
 
-    valid = pred_codes != -1
-    pred_ids, pred_inv, pred_areas = np.unique(
-        pred_codes[valid], return_inverse=True, return_counts=True
-    )
-    # gt void (code -1) is kept as a segment so pairs with it are counted
-    gt_ids, gt_inv, gt_areas = np.unique(
-        gt_codes, return_inverse=True, return_counts=True
-    )
-    pred_area = dict(zip(pred_ids.tolist(), pred_areas.tolist()))
-    gt_area = dict(zip(gt_ids.tolist(), gt_areas.tolist()))
-    gt_area.pop(-1, None)
+    # (pred, gt) pair histogram over all pixels; index n_pred / n_gt is void
+    keys, counts = np.unique(pred_seg * (n_gt + 1) + gt_seg, return_counts=True)
+    pair_p, pair_g = np.divmod(keys, n_gt + 1)
+    pred_area = np.bincount(pair_p, counts, n_pred + 1)[:n_pred]
+    gt_area = np.bincount(pair_g, counts, n_gt + 1)[:n_gt]
+    on_void = pair_g == n_gt
+    void_overlap = np.bincount(pair_p[on_void], counts[on_void], n_pred + 1)[:n_pred]
 
-    # joint histogram of (pred segment, gt segment) co-occurrences, one
-    # collision-free key per pair of compacted segment indices
-    keys = pred_inv * gt_ids.size + gt_inv[valid]
-    pair_keys, pair_counts = np.unique(keys, return_counts=True)
-    pair_p, pair_g = np.divmod(pair_keys, gt_ids.size)
-    inter: dict[tuple[int, int], int] = {}
-    void_overlap: dict[int, int] = {}
-    for p, g, count in zip(
-        pred_ids[pair_p].tolist(), gt_ids[pair_g].tolist(), pair_counts.tolist()
-    ):
-        if g == -1:
-            void_overlap[p] = count
-        else:
-            inter[(p, g)] = count
+    real = (pair_p < n_pred) & ~on_void
+    p, g, inter = pair_p[real], pair_g[real], counts[real]
+    # a counted pair has union >= gt area >= 1
+    pair_iou = inter / (pred_area[p] + gt_area[g] - inter - void_overlap[p])
+    tp = (pred_cls[p] == gt_cls[g]) & (pair_iou > MATCH_IOU)
+    pred_hit = np.bincount(p[tp], minlength=n_pred) > 0
+    gt_hit = np.bincount(g[tp], minlength=n_gt) > 0
+    fp = ~pred_hit
+    if void_exemption:
+        fp &= ~(void_overlap > 0.5 * pred_area)
 
-    per_class: dict[int, ClassStats] = {}
-
-    def stats(cid: int) -> ClassStats:
-        return per_class.setdefault(cid, ClassStats())
-
-    matched_pred: set[int] = set()
-    matched_gt: set[int] = set()
-    for (p, g), count in inter.items():
-        if p // INSTANCE_ID_LIMIT != g // INSTANCE_ID_LIMIT:
-            continue
-        p_void = void_overlap.get(p, 0)
-        union = pred_area[p] + gt_area[g] - count - p_void
-        if union <= 0:
-            continue
-        pair_iou = count / union
-        if pair_iou > MATCH_IOU:
-            cid = p // INSTANCE_ID_LIMIT
-            st = stats(cid)
-            st.tp += 1
-            st.iou_sum += pair_iou
-            matched_pred.add(p)
-            matched_gt.add(g)
-
-    for g in gt_area:
-        if g not in matched_gt:
-            stats(g // INSTANCE_ID_LIMIT).fn += 1
-    for p in pred_ids.tolist():
-        if p in matched_pred:
-            continue
-        if void_exemption and void_overlap.get(p, 0) > 0.5 * pred_area[p]:
-            continue
-        stats(p // INSTANCE_ID_LIMIT).fp += 1
+    n_cls = classes.num_classes
+    tp_cls = pred_cls[p[tp]]
+    # bincount adds the weights in pair order, as a running sum would
+    iou_sum = np.bincount(tp_cls, pair_iou[tp], n_cls)
+    n_tp = np.bincount(tp_cls, minlength=n_cls)
+    n_fn = np.bincount(gt_cls[~gt_hit], minlength=n_cls)
+    n_fp = np.bincount(pred_cls[fp], minlength=n_cls)
+    # classes enter in the order they are first counted: tp, fn, then fp
+    counted = np.concatenate([np.flatnonzero(n) for n in (n_tp, n_fn, n_fp)])
+    per_class = {
+        cid: ClassStats(
+            iou_sum=float(iou_sum[cid]),
+            tp=int(n_tp[cid]),
+            fp=int(n_fp[cid]),
+            fn=int(n_fn[cid]),
+        )
+        for cid in dict.fromkeys(counted.tolist())
+    }
 
     report = PqReport(per_class=per_class, class_table=classes)
     present = [st for st in per_class.values()]

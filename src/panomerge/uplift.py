@@ -67,23 +67,27 @@ class SplatWeightTable:
 
 @dataclass(frozen=True)
 class SplatLabelField:
-    """Per-splat label distributions; rows of observed splats sum to one."""
+    """Per-splat label distributions: each row sums to one, or is all-zero
+    for a splat no labeled pixel observed."""
 
     distributions: np.ndarray  # (G, L + 1), column 0 = void
-    observed: np.ndarray  # (G,) bool
 
     def __post_init__(self):
         dist = np.asarray(self.distributions, dtype=np.float64)
-        obs = np.asarray(self.observed, dtype=bool).ravel()
-        if dist.ndim != 2 or dist.shape[0] != obs.shape[0]:
-            raise ValueError("distributions and observed flags disagree on G")
+        if dist.ndim != 2:
+            raise ValueError("distributions must have shape (G, L + 1)")
+        # written so that NaN fails it too
+        if dist.size and not (dist.min() >= 0.0 and dist.max() < np.inf):
+            raise ValueError("splat distributions must be finite and nonnegative")
         sums = dist.sum(axis=1)
-        if obs.any() and np.abs(sums[obs] - 1.0).max() > 1e-6:
-            raise ValueError("observed splat distributions must sum to 1")
-        if (~obs).any() and np.abs(sums[~obs]).max() > 0.0:
-            raise ValueError("unobserved splat rows must be all-zero")
+        if ((sums != 0.0) & (np.abs(sums - 1.0) > 1e-6)).any():
+            raise ValueError("splat distributions must sum to 0 or to 1")
         object.__setattr__(self, "distributions", dist)
-        object.__setattr__(self, "observed", obs)
+
+    @property
+    def observed(self) -> np.ndarray:
+        """(G,) bool: splats whose distribution carries any mass."""
+        return self.distributions.sum(axis=1) > 0.0
 
     @property
     def num_labels(self) -> int:
@@ -115,7 +119,7 @@ def uplift_labels(labels: PanopticMap, weights: SplatWeightTable) -> SplatLabelF
     observed = totals > 0.0
     dist[observed] /= totals[observed, None]
     dist[~observed] = 0.0
-    return SplatLabelField(dist, observed)
+    return SplatLabelField(dist)
 
 
 def render_labels(

@@ -230,6 +230,27 @@ class TestUpliftRender:
         first_id = min(set(np.unique(gt.instance_ids).tolist()) - {0})
         assert f"[{first_id}," in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "head", [[np.nan, 0.0], [-1.0, 2.0]], ids=["nan", "negative"]
+    )
+    def test_malformed_field_row_is_exit_2(self, scene_dir, tmp_path, capsys, head):
+        field = tmp_path / "field.pmt"
+        assert run(
+            ["uplift", scene_dir / "gt.pmt", scene_dir / "splats.psw",
+             "--out", field]
+        ) == 0
+        dist = read_tensor(field)
+        dist[0] = 0.0
+        dist[0, :2] = head
+        write_tensor(field, dist)
+        capsys.readouterr()
+        code = run(
+            ["render-labels", field, scene_dir / "splats.psw", scene_dir / "gt.pmt",
+             "--out", tmp_path / "r.pmt"]
+        )
+        assert code == 2
+        assert "finite and nonnegative" in capsys.readouterr().err
+
 
 class TestFps:
     def test_k_50_on_100_descriptors(self, tmp_path, capsys):

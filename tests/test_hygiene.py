@@ -1,9 +1,13 @@
 """Static checks on the package source."""
 
 import ast
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
+
+import panomerge
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "panomerge"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
@@ -29,3 +33,48 @@ def test_detects_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def words(text: str) -> Counter:
+    return Counter(re.findall(r"\w+", text))
+
+
+def dead_definitions(sources: list[str], exported=()) -> list[str]:
+    """Functions, methods and classes (dunders aside) whose name appears
+    nowhere in `sources` outside their own definition and is not exported.
+
+    Any mention counts, docstrings and comments included, so a name that a
+    docstring points readers to is kept.
+    """
+    seen = sum((words(s) for s in sources), Counter())
+    dead = set()
+    for source in sources:
+        for node in ast.walk(ast.parse(source)):
+            defines = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+            if not isinstance(node, defines) or node.name in exported:
+                continue
+            if node.name.startswith("__") and node.name.endswith("__"):
+                continue
+            own = words(ast.get_source_segment(source, node))
+            if seen[node.name] == own[node.name]:
+                dead.add(node.name)
+    return sorted(dead)
+
+
+def test_detects_dead_definition():
+    source = (
+        "def used(): pass\n"
+        "def unused(): return unused()\n"
+        "def public(): pass\n"
+        "class K:\n"
+        "    def __init__(self): pass\n"
+        "    def method(self): pass\n"
+        "    def idle(self): pass\n"
+        "used(); K().method()\n"
+    )
+    assert dead_definitions([source], ["public"]) == ["idle", "unused"]
+
+
+def test_no_dead_definitions():
+    sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
+    assert dead_definitions(sources, panomerge.__all__) == []

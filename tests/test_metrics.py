@@ -1,7 +1,14 @@
+import math
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panomerge import ClassTable, PanopticMap, dataset_pq, iou, scene_pq
+from panomerge.masks import INSTANCE_ID_LIMIT, VOID_INSTANCE
+from panomerge.metrics import MATCH_IOU, ClassStats, PqReport
 
 
 def pmap(instances, mapping, table):
@@ -210,7 +217,148 @@ class TestSerialization:
             "tp", "fp", "fn", "pq", "sq", "rq",
         }
 
-    def test_text_block(self, table):
-        gt = pmap(np.ones((1, 2, 2), dtype=int), {1: 0}, table)
-        text = scene_pq(gt, gt, table).to_text()
-        assert "pq 100.0000" in text
+
+# Reference: scene PQ as it was computed before the segment table, from
+# per-pixel class * INSTANCE_ID_LIMIT + instance codes and dicts keyed by them.
+
+
+def ref_segment_codes(pmap, classes):
+    ids, inverse, cls = pmap.unique_ids()
+    ids = ids.astype(np.int64)
+    cls = cls.astype(np.int64)
+    valid = (ids != VOID_INSTANCE) & (cls != classes.void_class)
+    if ((cls[valid] < 0) | (cls[valid] >= classes.num_classes)).any():
+        raise ValueError("label map references a class ID outside the table")
+    is_thing = np.zeros(ids.shape, dtype=bool)
+    is_thing[valid] = np.asarray(classes.is_thing, dtype=bool)[cls[valid]]
+    seg = np.where(is_thing, ids, 0)
+    codes = np.where(valid, cls * INSTANCE_ID_LIMIT + seg, -1)
+    return codes[inverse.reshape(-1)]
+
+
+def ref_scene_pq(pred, gt, classes, void_exemption=True):
+    pred_codes = ref_segment_codes(pred, classes)
+    gt_codes = ref_segment_codes(gt, classes)
+
+    valid = pred_codes != -1
+    pred_ids, pred_inv, pred_areas = np.unique(
+        pred_codes[valid], return_inverse=True, return_counts=True
+    )
+    gt_ids, gt_inv, gt_areas = np.unique(
+        gt_codes, return_inverse=True, return_counts=True
+    )
+    pred_area = dict(zip(pred_ids.tolist(), pred_areas.tolist()))
+    gt_area = dict(zip(gt_ids.tolist(), gt_areas.tolist()))
+    gt_area.pop(-1, None)
+
+    keys = pred_inv * gt_ids.size + gt_inv[valid]
+    pair_keys, pair_counts = np.unique(keys, return_counts=True)
+    pair_p, pair_g = np.divmod(pair_keys, gt_ids.size)
+    inter = {}
+    void_overlap = {}
+    for p, g, count in zip(
+        pred_ids[pair_p].tolist(), gt_ids[pair_g].tolist(), pair_counts.tolist()
+    ):
+        if g == -1:
+            void_overlap[p] = count
+        else:
+            inter[(p, g)] = count
+
+    per_class = {}
+
+    def stats(cid):
+        return per_class.setdefault(cid, ClassStats())
+
+    matched_pred = set()
+    matched_gt = set()
+    for (p, g), count in inter.items():
+        if p // INSTANCE_ID_LIMIT != g // INSTANCE_ID_LIMIT:
+            continue
+        p_void = void_overlap.get(p, 0)
+        union = pred_area[p] + gt_area[g] - count - p_void
+        if union <= 0:
+            continue
+        pair_iou = count / union
+        if pair_iou > MATCH_IOU:
+            st_ = stats(p // INSTANCE_ID_LIMIT)
+            st_.tp += 1
+            st_.iou_sum += pair_iou
+            matched_pred.add(p)
+            matched_gt.add(g)
+
+    for g in gt_area:
+        if g not in matched_gt:
+            stats(g // INSTANCE_ID_LIMIT).fn += 1
+    for p in pred_ids.tolist():
+        if p in matched_pred:
+            continue
+        if void_exemption and void_overlap.get(p, 0) > 0.5 * pred_area[p]:
+            continue
+        stats(p // INSTANCE_ID_LIMIT).fp += 1
+
+    report = PqReport(per_class=per_class, class_table=classes)
+    present = list(per_class.values())
+    if present:
+        report.pq = float(np.mean([s.pq for s in present]))
+        report.sq = float(np.mean([s.sq for s in present]))
+        report.rq = float(np.mean([s.rq for s in present]))
+    things = [s.pq for cid, s in per_class.items() if classes.is_thing[cid]]
+    stuff = [s.pq for cid, s in per_class.items() if not classes.is_thing[cid]]
+    if things:
+        report.pq_things = float(np.mean(things))
+    if stuff:
+        report.pq_stuff = float(np.mean(stuff))
+    return report
+
+
+@st.composite
+def scored_pairs(draw):
+    """A class table and a (pred, gt) pair of small maps over one ID pool.
+
+    Each map gives every pooled ID a class (or the void class), so some
+    mapped IDs are absent from the pixels; pred may copy part of gt's pixels
+    and classes so that segments match.
+    """
+    n_cls = draw(st.integers(1, 4))
+    flags = draw(st.lists(st.booleans(), min_size=n_cls, max_size=n_cls))
+    table = ClassTable(tuple("abcd"[:n_cls]), tuple(flags))
+    class_of = st.one_of(st.integers(0, n_cls - 1), st.just(table.void_class))
+    ids = st.integers(1, INSTANCE_ID_LIMIT - 1)
+    pool = draw(st.lists(ids, unique=True, max_size=6))
+    shape = draw(st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 5)))
+    lookup = np.array([VOID_INSTANCE, *pool], dtype=np.int64)
+
+    def draw_map():
+        pick = draw(arrays(np.int64, shape, elements=st.integers(0, len(pool))))
+        return lookup[pick], {i: draw(class_of) for i in pool}
+
+    gt_inst, gt_map = draw_map()
+    pred_inst, pred_map = draw_map()
+    copied = draw(arrays(bool, shape))
+    pred_inst = np.where(copied, gt_inst, pred_inst)
+    if draw(st.booleans()):
+        pred_map = gt_map
+    return (
+        table,
+        PanopticMap.from_instances(pred_inst, pred_map, table),
+        PanopticMap.from_instances(gt_inst, gt_map, table),
+    )
+
+
+def same_float(a, b):
+    return a == b or (math.isnan(a) and math.isnan(b))
+
+
+@settings(max_examples=400, deadline=None)
+@given(scored_pairs(), st.booleans())
+def test_scene_pq_matches_code_dict_reference(scene, void_exemption):
+    table, pred, gt = scene
+    got = scene_pq(pred, gt, table, void_exemption=void_exemption)
+    want = ref_scene_pq(pred, gt, table, void_exemption=void_exemption)
+
+    def rows(report):
+        return {c: (s.tp, s.fp, s.fn, s.iou_sum) for c, s in report.per_class.items()}
+
+    assert rows(got) == rows(want)
+    for name in ("pq", "sq", "rq", "pq_things", "pq_stuff"):
+        assert same_float(getattr(got, name), getattr(want, name)), name

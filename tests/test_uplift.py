@@ -7,6 +7,7 @@ from panomerge import (
     ClassTable,
     PanopticMap,
     SceneSpec,
+    SplatLabelField,
     SplatWeightTable,
     generate_scene,
     merge_qubo,
@@ -213,3 +214,23 @@ class TestSplatWeightTable:
                 SplatWeightTable(**table)
         else:
             SplatWeightTable(**table)
+
+
+class TestSplatLabelField:
+    def test_observed_is_derived_from_row_mass(self):
+        field = SplatLabelField([[0.0, 0.25, 0.75], [0.0, 0.0, 0.0]])
+        assert field.observed.tolist() == [True, False]
+
+    @pytest.mark.parametrize(
+        "row",
+        [[np.nan, 0.5, 0.5], [np.inf, 0.0, 0.0], [-1.0, 2.0, 0.0]],
+        ids=["nan", "inf", "negative"],
+    )
+    def test_non_finite_or_negative_row_rejected(self, row):
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            SplatLabelField([[0.0, 0.0, 1.0], row])
+
+    @pytest.mark.parametrize("total", [0.5, 1.0 + 1e-5, 2.0])
+    def test_row_summing_to_neither_0_nor_1_rejected(self, total):
+        with pytest.raises(ValueError, match="sum to 0 or to 1"):
+            SplatLabelField([[0.0, total, 0.0]])
