@@ -12,6 +12,7 @@ SplatFile:    magic "PSW1", counts G, N, H, W (u32 LE), then a stream of
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from pathlib import Path
@@ -72,13 +73,13 @@ def read_tensor(path) -> np.ndarray:
             raise FormatError(f"{path}: truncated dims")
         dims = struct.unpack(f"<{ndim}I", raw)
         dtype = _DTYPES[code]
-        expected = int(np.prod(dims, dtype=np.int64)) * dtype.itemsize
-        payload = f.read()
-        if len(payload) != expected:
-            raise FormatError(
-                f"{path}: payload length {len(payload)} != expected {expected}"
-            )
-    return np.frombuffer(payload, dtype=dtype).reshape(dims).copy()
+        count = math.prod(dims)
+        expected = count * dtype.itemsize
+        # checked before allocating, so forged dims cannot exhaust memory
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size != expected:
+            raise FormatError(f"{path}: payload length {size} != expected {expected}")
+        return np.fromfile(f, dtype=dtype, count=count).reshape(dims)
 
 
 def _sidecar(path) -> Path:

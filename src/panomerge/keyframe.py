@@ -28,17 +28,6 @@ class FrameDescriptors:
         return self.vectors.shape[0]
 
 
-def _distances_to(vectors: np.ndarray, index: int, metric: str) -> np.ndarray:
-    if metric == "euclidean":
-        return np.linalg.norm(vectors - vectors[index], axis=1)
-    if metric == "cosine":
-        norms = np.linalg.norm(vectors, axis=1)
-        safe = np.where(norms > 0.0, norms, 1.0)
-        unit = vectors / safe[:, None]
-        return 1.0 - unit @ unit[index]
-    raise ValueError(f"unknown metric {metric!r}")
-
-
 def fps_select(
     desc: FrameDescriptors,
     k: int = DEFAULT_NUM_KEYFRAMES,
@@ -56,12 +45,31 @@ def fps_select(
         raise ValueError(f"k must satisfy 1 <= k <= N={n}, got {k}")
     if not 0 <= seed_index < n:
         raise IndexError(f"seed_index {seed_index} out of range for N={n}")
+    vec = desc.vectors
+    if metric == "euclidean":
+        buf = np.empty_like(vec)
+
+        def distances_to(i: int) -> np.ndarray:
+            # np.linalg.norm(vec - vec[i], axis=1), without a fresh temporary
+            np.subtract(vec, vec[i], out=buf)
+            np.multiply(buf, buf, out=buf)
+            return np.sqrt(np.add.reduce(buf, axis=1))
+
+    elif metric == "cosine":
+        norms = np.linalg.norm(vec, axis=1)
+        unit = vec / np.where(norms > 0.0, norms, 1.0)[:, None]
+
+        def distances_to(i: int) -> np.ndarray:
+            return 1.0 - unit @ unit[i]
+
+    else:
+        raise ValueError(f"unknown metric {metric!r}")
     selected = [seed_index]
-    min_dist = _distances_to(desc.vectors, seed_index, metric)
+    min_dist = distances_to(seed_index)
     min_dist[seed_index] = -np.inf
     for _ in range(k - 1):
         nxt = int(np.argmax(min_dist))
         selected.append(nxt)
-        min_dist = np.minimum(min_dist, _distances_to(desc.vectors, nxt, metric))
+        np.minimum(min_dist, distances_to(nxt), out=min_dist)
         min_dist[nxt] = -np.inf
     return selected

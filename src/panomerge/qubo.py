@@ -161,89 +161,97 @@ def solve_exact(q: QuboInstance) -> Assignment:
     return Assignment(bits, objective(q, bits))
 
 
-def _greedy_bits(q: QuboInstance) -> np.ndarray:
+def _field(q: QuboInstance, u: list[float]) -> list[float]:
+    """Local fields h: flipping bit i changes the objective by (1 - 2 u_i) h_i."""
+    return (q.linear - q.penalty * (q.quadratic @ u)).tolist()
+
+
+def _neighbours(q: QuboInstance) -> list[list[tuple[int, float]]]:
+    """Per variable i, (j, penalty * quadratic_ij) for the nonzero overlaps only:
+    every term is nonnegative, so skipping zeros leaves every field the same."""
+    w = q.penalty * q.quadratic
+    return [list(zip(np.flatnonzero(r).tolist(), r[r != 0.0].tolist())) for r in w]
+
+
+def _flip(u: list[float], h: list[float], nbrs, i: int) -> None:
+    """Flip bit i and update its neighbours' fields, the only ones that change."""
+    sign = 1.0 - 2.0 * u[i]
+    u[i] = 1.0 - u[i]
+    for j, w in nbrs[i]:
+        h[j] -= sign * w
+
+
+def _greedy_bits(q: QuboInstance, nbrs) -> list[float]:
     """Add proposals in decreasing area order while each helps."""
-    u = np.zeros(q.num_vars, dtype=bool)
-    h = q.linear.copy()
-    order = np.argsort(-q.linear, kind="stable")
-    for i in order:
+    u = [0.0] * q.num_vars
+    h = q.linear.tolist()
+    for i in np.argsort(-q.linear, kind="stable").tolist():
         if h[i] > 0.0:
-            u[i] = True
-            h -= q.penalty * q.quadratic[:, i]
+            _flip(u, h, nbrs, i)
     return u
 
 
-def _local_search(q: QuboInstance, u: np.ndarray) -> np.ndarray:
-    """Greedy hill climb: flip the best improving bit until none remains.
+def _local_search(q: QuboInstance, u: list[float], nbrs) -> list[float]:
+    """Greedy hill climb in place: flip the best improving bit (lowest index on
+    ties) until none remains.
 
     Objective-neutral set bits are then dropped highest-index-first, which
     canonicalizes ties toward the same smallest-integer assignment the exact
     solver returns.
     """
-    u = u.astype(np.float64)
-    h = q.linear - q.penalty * (q.quadratic @ u)
-
-    def flip(i: int) -> None:
-        sign = 1.0 - 2.0 * u[i]
-        u[i] = 1.0 - u[i]
-        h[:] -= sign * q.penalty * q.quadratic[:, i]
-
+    h = _field(q, u)
     while True:
-        deltas = (1.0 - 2.0 * u) * h
-        i = int(np.argmax(deltas))
+        deltas = [(1.0 - 2.0 * ui) * hi for ui, hi in zip(u, h)]
+        i = max(range(len(u)), key=deltas.__getitem__)
         if deltas[i] > 0.0:
-            flip(i)
+            _flip(u, h, nbrs, i)
             continue
-        neutral = np.flatnonzero((u > 0.5) & (deltas == 0.0))
-        if neutral.size:
-            flip(int(neutral[-1]))
+        neutral = [j for j, d in enumerate(deltas) if u[j] and d == 0.0]
+        if neutral:
+            _flip(u, h, nbrs, neutral[-1])
             continue
-        break
-    return u.astype(bool)
+        return u
 
 
-def _anneal_once(q: QuboInstance, cfg: AnnealConfig, seed: int) -> np.ndarray:
+def _anneal_once(q: QuboInstance, cfg: AnnealConfig, seed: int, nbrs) -> list[float]:
     m = q.num_vars
     rng = np.random.Generator(np.random.PCG64(seed))
-    u = _greedy_bits(q).astype(np.float64)
-    h = q.linear - q.penalty * (q.quadratic @ u)
+    u = _greedy_bits(q, nbrs)
+    h = _field(q, u)
     obj = objective(q, u)
     best_obj = obj
     best_u = u.copy()
     temp = float(q.linear.max(initial=0.0)) or 1.0
-
-    penalty = q.penalty
-    quad = q.quadratic
     for _ in range(cfg.sweeps):
-        idxs = rng.integers(0, m, size=m)
-        log_r = np.log(rng.random(size=m))
-        for t in range(m):
-            i = idxs[t]
-            sign = 1.0 - 2.0 * u[i]
-            delta = sign * h[i]
-            if delta >= 0.0 or log_r[t] < delta / temp:
-                u[i] = 1.0 - u[i]
+        idxs = rng.integers(0, m, size=m).tolist()
+        log_r = np.log(rng.random(size=m)).tolist()
+        for i, lr in zip(idxs, log_r):
+            delta = (1.0 - 2.0 * u[i]) * h[i]
+            if delta >= 0.0 or lr < delta / temp:
+                _flip(u, h, nbrs, i)
                 obj += delta
-                h -= sign * penalty * quad[:, i]
                 if obj > best_obj:
                     best_obj = obj
                     best_u = u.copy()
         temp *= cfg.cooling_rate
-    return _local_search(q, best_u)
+    return _local_search(q, best_u, nbrs)
 
 
 def solve_anneal(q: QuboInstance, cfg: AnnealConfig | None = None) -> Assignment:
     """Simulated annealing with geometric cooling, restarts, and a final
-    single-flip hill climb so the returned assignment is locally optimal.
+    single-flip hill climb so the returned assignment is locally optimal. Flips
+    update local fields through neighbour lists (Isakov et al., Comput. Phys.
+    Commun. 192, 2015).
 
     Deterministic for a fixed config: restart r uses seed cfg.seed + r and
     ties between restarts go to the lowest restart index.
     """
     cfg = cfg or AnnealConfig()
+    nbrs = _neighbours(q)
     best_bits = None
     best_obj = -math.inf
     for r in range(cfg.restarts):
-        bits = _anneal_once(q, cfg, cfg.seed + r)
+        bits = _anneal_once(q, cfg, cfg.seed + r, nbrs)
         obj = objective(q, bits)
         if obj > best_obj:
             best_obj = obj

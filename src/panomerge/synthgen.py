@@ -65,7 +65,6 @@ class SceneSpec:
     num_things: int = 6
     num_stuff: int = 2
     world_size: int = 96
-    view_windows: tuple[tuple[int, int], ...] | None = None
     corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
 
     def __post_init__(self):
@@ -79,15 +78,6 @@ class SceneSpec:
             raise ValueError("overfull scene: too many things for the canvas")
         if self.num_stuff > self.world_size:
             raise ValueError("overfull scene: too many stuff bands")
-        if self.view_windows is not None:
-            if len(self.view_windows) != self.num_views:
-                raise ValueError("one window per view required")
-            for r, c in self.view_windows:
-                if not (
-                    0 <= r <= self.world_size - self.height
-                    and 0 <= c <= self.world_size - self.width
-                ):
-                    raise ValueError("view window falls outside the world canvas")
 
 
 def _paint_world(spec: SceneSpec, rng: np.random.Generator):
@@ -215,16 +205,13 @@ def generate_scene(
     rng = np.random.default_rng(spec.seed)
     world, inst_class, table = _paint_world(spec, rng)
 
-    if spec.view_windows is not None:
-        windows = [tuple(w) for w in spec.view_windows]
-    else:
-        windows = [
-            (
-                int(rng.integers(0, spec.world_size - spec.height + 1)),
-                int(rng.integers(0, spec.world_size - spec.width + 1)),
-            )
-            for _ in range(spec.num_views)
-        ]
+    windows = [
+        (
+            int(rng.integers(0, spec.world_size - spec.height + 1)),
+            int(rng.integers(0, spec.world_size - spec.width + 1)),
+        )
+        for _ in range(spec.num_views)
+    ]
 
     gt_inst = np.stack(
         [world[r : r + spec.height, c : c + spec.width] for r, c in windows]

@@ -89,10 +89,6 @@ class SplatLabelField:
         """(G,) bool: splats whose distribution carries any mass."""
         return self.distributions.sum(axis=1) > 0.0
 
-    @property
-    def num_labels(self) -> int:
-        return self.distributions.shape[1] - 1
-
 
 def uplift_labels(labels: PanopticMap, weights: SplatWeightTable) -> SplatLabelField:
     """Accumulate one-hot instance labels into per-splat distributions.
@@ -134,7 +130,7 @@ def render_labels(
     if not 0 <= view < weights.num_views:
         raise ValueError(f"unknown view {view}")
     sel = weights.views == view
-    acc = np.zeros((weights.height * weights.width, field.num_labels + 1))
+    acc = np.zeros((weights.height * weights.width, field.distributions.shape[1]))
     np.add.at(
         acc,
         weights.pixels[sel],

@@ -1,5 +1,7 @@
 import json
+import struct
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +50,27 @@ class TestTensorFile:
         path = tmp_path / "bad.pmt"
         path.write_bytes(b"XXXX" + b"\x00" * 16)
         with pytest.raises(FormatError):
+            read_tensor(path)
+
+    def test_read_allocates_the_payload_once(self, tmp_path):
+        arr = np.random.default_rng(0).random((8, 96, 96, 4)).astype(np.float32)
+        path = tmp_path / "big.pmt"
+        write_tensor(path, arr)
+        tracemalloc.start()
+        try:
+            back = read_tensor(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * arr.nbytes
+        assert np.array_equal(back, arr)
+        assert back.flags.writeable
+
+    def test_forged_dims_rejected_before_allocating(self, tmp_path):
+        path = tmp_path / "forged.pmt"
+        dims = (2**32 - 1,) * 4
+        path.write_bytes(b"PMT1" + struct.pack("<BB4I", 1, 4, *dims) + b"\0" * 16)
+        with pytest.raises(FormatError, match="payload length"):
             read_tensor(path)
 
     def test_truncated_payload_rejected(self, tmp_path):

@@ -1,7 +1,58 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from panomerge import FrameDescriptors, fps_select
+
+
+# Reference: farthest-point sampling as it was before each metric was set up
+# once per call, recomputing distances (and unit vectors) for every pick.
+
+
+def ref_distances_to(vectors, index, metric):
+    if metric == "euclidean":
+        return np.linalg.norm(vectors - vectors[index], axis=1)
+    norms = np.linalg.norm(vectors, axis=1)
+    safe = np.where(norms > 0.0, norms, 1.0)
+    unit = vectors / safe[:, None]
+    return 1.0 - unit @ unit[index]
+
+
+def ref_fps_select(vectors, k, seed_index, metric):
+    selected = [seed_index]
+    min_dist = ref_distances_to(vectors, seed_index, metric)
+    min_dist[seed_index] = -np.inf
+    for _ in range(k - 1):
+        nxt = int(np.argmax(min_dist))
+        selected.append(nxt)
+        min_dist = np.minimum(min_dist, ref_distances_to(vectors, nxt, metric))
+        min_dist[nxt] = -np.inf
+    return selected
+
+
+@st.composite
+def descriptor_sets(draw):
+    """(N, dim) descriptors with some zero rows and some duplicated rows."""
+    n = draw(st.integers(1, 25))
+    dim = draw(st.integers(1, 6))
+    vec = draw(
+        arrays(
+            np.float64,
+            (n, dim),
+            elements=st.one_of(
+                st.integers(-3, 3).map(float),
+                st.floats(-1e3, 1e3, allow_subnormal=False),
+            ),
+        )
+    )
+    rows = st.integers(0, n - 1)
+    for i in draw(st.lists(rows, max_size=3)):
+        vec[i] = 0.0
+    for i, j in draw(st.lists(st.tuples(rows, rows), max_size=3)):
+        vec[i] = vec[j]
+    return vec
 
 
 def descriptors(points):
@@ -77,6 +128,20 @@ class TestFpsSelect:
         rng = np.random.default_rng(5)
         desc = descriptors(rng.random((50, 6)))
         assert fps_select(desc, k=20) == fps_select(desc, k=20)
+
+    @settings(max_examples=200, deadline=None)
+    @given(descriptor_sets(), st.sampled_from(["euclidean", "cosine"]), st.data())
+    def test_matches_reference(self, vec, metric, data):
+        n = vec.shape[0]
+        k = data.draw(st.integers(1, n))
+        seed_index = data.draw(st.integers(0, n - 1))
+        assert fps_select(FrameDescriptors(vec), k, seed_index, metric) == (
+            ref_fps_select(vec, k, seed_index, metric)
+        )
+
+    def test_unknown_metric_rejected(self):
+        with pytest.raises(ValueError, match="unknown metric"):
+            fps_select(descriptors([(0, 0), (1, 1)]), k=1, metric="manhattan")
 
     def test_k_out_of_range(self):
         desc = descriptors([(0, 0), (1, 1)])

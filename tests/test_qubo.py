@@ -1,4 +1,5 @@
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -17,8 +18,107 @@ from panomerge import (
     solve_exact,
     weighted_area,
 )
+from panomerge.qubo import _greedy_bits, _local_search, _neighbours
 
 from conftest import make_mask_set, random_mask_set
+
+
+# Reference solver: the annealer as it was before every field update went
+# through one neighbour-list flip, with numpy vector updates per flip.
+
+
+def ref_greedy_bits(q):
+    u = np.zeros(q.num_vars, dtype=bool)
+    h = q.linear.copy()
+    order = np.argsort(-q.linear, kind="stable")
+    for i in order:
+        if h[i] > 0.0:
+            u[i] = True
+            h -= q.penalty * q.quadratic[:, i]
+    return u
+
+
+def ref_local_search(q, u):
+    u = u.astype(np.float64)
+    h = q.linear - q.penalty * (q.quadratic @ u)
+
+    def flip(i):
+        sign = 1.0 - 2.0 * u[i]
+        u[i] = 1.0 - u[i]
+        h[:] -= sign * q.penalty * q.quadratic[:, i]
+
+    while True:
+        deltas = (1.0 - 2.0 * u) * h
+        i = int(np.argmax(deltas))
+        if deltas[i] > 0.0:
+            flip(i)
+            continue
+        neutral = np.flatnonzero((u > 0.5) & (deltas == 0.0))
+        if neutral.size:
+            flip(int(neutral[-1]))
+            continue
+        break
+    return u.astype(bool)
+
+
+def ref_anneal_once(q, cfg, seed):
+    m = q.num_vars
+    rng = np.random.Generator(np.random.PCG64(seed))
+    u = ref_greedy_bits(q).astype(np.float64)
+    h = q.linear - q.penalty * (q.quadratic @ u)
+    obj = objective(q, u)
+    best_obj = obj
+    best_u = u.copy()
+    temp = float(q.linear.max(initial=0.0)) or 1.0
+
+    penalty = q.penalty
+    quad = q.quadratic
+    for _ in range(cfg.sweeps):
+        idxs = rng.integers(0, m, size=m)
+        log_r = np.log(rng.random(size=m))
+        for t in range(m):
+            i = idxs[t]
+            sign = 1.0 - 2.0 * u[i]
+            delta = sign * h[i]
+            if delta >= 0.0 or log_r[t] < delta / temp:
+                u[i] = 1.0 - u[i]
+                obj += delta
+                h -= sign * penalty * quad[:, i]
+                if obj > best_obj:
+                    best_obj = obj
+                    best_u = u.copy()
+        temp *= cfg.cooling_rate
+    return ref_local_search(q, best_u)
+
+
+def ref_solve_anneal(q, cfg):
+    best_bits = None
+    best_obj = -math.inf
+    for r in range(cfg.restarts):
+        bits = ref_anneal_once(q, cfg, cfg.seed + r)
+        obj = objective(q, bits)
+        if obj > best_obj:
+            best_obj = obj
+            best_bits = bits
+    return best_bits, best_obj
+
+
+@st.composite
+def qubo_instances(draw, max_vars=30):
+    """Sparse, mostly integer-valued instances, so ties and neutral bits occur;
+    zero linear entries, and sometimes no overlaps at all."""
+    m = draw(st.integers(1, max_vars))
+    value = st.one_of(
+        st.integers(0, 8).map(float), st.floats(0.0, 8.0, allow_subnormal=False)
+    )
+    linear = draw(arrays(np.float64, m, elements=value, fill=st.just(0.0)))
+    upper = np.zeros((m, m))
+    if draw(st.booleans()):
+        upper = np.triu(
+            draw(arrays(np.float64, (m, m), elements=value, fill=st.just(0.0))), 1
+        )
+    penalty = draw(st.floats(1.0, 4.0, exclude_min=True))
+    return QuboInstance(linear, upper + upper.T, penalty)
 
 
 def random_instance(rng, m):
@@ -202,6 +302,36 @@ class TestSolveAnneal:
         u = result.bits.astype(float)
         for i in range(12):
             assert flip_delta(q, u, i) <= 0.0
+
+    @settings(max_examples=150, deadline=None)
+    @given(qubo_instances(), st.sampled_from([1, 30, 300]))
+    def test_matches_reference_annealer(self, q, sweeps):
+        for seed in range(4):
+            cfg = AnnealConfig(seed=seed, sweeps=sweeps, restarts=1)
+            result = solve_anneal(q, cfg)
+            ref_bits, ref_obj = ref_solve_anneal(q, cfg)
+            assert np.array_equal(result.bits, ref_bits)
+            assert result.objective == ref_obj
+
+    @settings(max_examples=60, deadline=None)
+    @given(qubo_instances(max_vars=12), st.integers(0, 3))
+    def test_well_formed_and_never_beats_exact(self, q, seed):
+        result = solve_anneal(q, AnnealConfig(seed=seed, sweeps=30))
+        assert len(result.bits) == q.num_vars
+        assert result.objective == objective(q, result.bits)
+        # float instances: allow rounding between two sums of equal value
+        exact = solve_exact(q).objective
+        assert result.objective <= exact + 1e-9 * (1.0 + abs(exact))
+
+    @settings(max_examples=150, deadline=None)
+    @given(qubo_instances(), st.data())
+    def test_greedy_start_and_hill_climb_match_reference(self, q, data):
+        nbrs = _neighbours(q)
+        greedy = _greedy_bits(q, nbrs)
+        assert np.array_equal(np.array(greedy, dtype=bool), ref_greedy_bits(q))
+        start = data.draw(arrays(bool, q.num_vars))
+        climbed = _local_search(q, start.astype(float).tolist(), nbrs)
+        assert np.array_equal(np.array(climbed, dtype=bool), ref_local_search(q, start))
 
     def test_deterministic(self):
         rng = np.random.default_rng(7)

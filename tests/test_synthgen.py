@@ -24,7 +24,7 @@ class TestDeterminism:
 
 class TestStructure:
     def test_gt_ids_consistent_across_views(self):
-        spec = SceneSpec(seed=11, view_windows=((0, 0), (10, 10), (20, 0)))
+        spec = SceneSpec(seed=11)
         gt, _, _ = generate_scene(spec)
         for iid, cid in gt.instance_to_class.items():
             assert (gt.class_ids[gt.instance_ids == iid] == cid).all()
@@ -76,7 +76,3 @@ class TestStructure:
     def test_overfull_scene_rejected(self):
         with pytest.raises(ValueError):
             SceneSpec(seed=0, num_things=10_000, world_size=64)
-
-    def test_bad_view_window_rejected(self):
-        with pytest.raises(ValueError):
-            SceneSpec(seed=0, view_windows=((90, 0), (0, 0), (0, 0)))
