@@ -55,7 +55,7 @@ def _add_anneal_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_mask_set(masks_path: str, probs_path: str) -> SoftMaskSet:
-    values = pio.read_tensor(masks_path)
+    values = pio.read_tensor(masks_path, dtype=np.float64)
     probs = pio.read_tensor(probs_path)
     table = pio.read_class_table(Path(probs_path).with_suffix(".json"))
     return SoftMaskSet(values, probs, table)

@@ -28,6 +28,8 @@ SPLAT_MAGIC = b"PSW1"
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}
 _CODES = {np.dtype("float32"): 1, np.dtype("uint16"): 2, np.dtype("uint8"): 3}
 
+_READ_CHUNK = 1 << 16  # elements converted per step by read_tensor(..., dtype)
+
 _SPLAT_RECORD = np.dtype(
     [("splat", "<u4"), ("view", "<u2"), ("pixel", "<u4"), ("weight", "<f4")]
 )
@@ -57,7 +59,10 @@ def write_tensor(path, array: np.ndarray) -> None:
         f.write(np.ascontiguousarray(array, dtype=_DTYPES[code]).tobytes())
 
 
-def read_tensor(path) -> np.ndarray:
+def read_tensor(path, dtype=None) -> np.ndarray:
+    """Read a TensorFile. With `dtype`, the payload is converted into one
+    array of that dtype, _READ_CHUNK elements at a time, so the stored dtype
+    is never held whole alongside it."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != TENSOR_MAGIC:
@@ -72,14 +77,20 @@ def read_tensor(path) -> np.ndarray:
         if len(raw) != 4 * ndim:
             raise FormatError(f"{path}: truncated dims")
         dims = struct.unpack(f"<{ndim}I", raw)
-        dtype = _DTYPES[code]
+        stored = _DTYPES[code]
         count = math.prod(dims)
-        expected = count * dtype.itemsize
+        expected = count * stored.itemsize
         # checked before allocating, so forged dims cannot exhaust memory
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size != expected:
             raise FormatError(f"{path}: payload length {size} != expected {expected}")
-        return np.fromfile(f, dtype=dtype, count=count).reshape(dims)
+        if dtype is None:
+            return np.fromfile(f, dtype=stored, count=count).reshape(dims)
+        out = np.empty(count, dtype=dtype)
+        for start in range(0, count, _READ_CHUNK):
+            n = min(_READ_CHUNK, count - start)
+            out[start : start + n] = np.fromfile(f, dtype=stored, count=n)
+        return out.reshape(dims)
 
 
 def _sidecar(path) -> Path:

@@ -8,6 +8,8 @@ All tensors are dense numpy arrays. Mask proposals are stored as a single
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -42,11 +44,28 @@ class ClassTable:
         return len(self.names)
 
 
+class MaskSupport(NamedTuple):
+    """Each proposal's nonzero pixels, derived from the dense values.
+
+    Row q's flat pixel indices into N * H * W, ascending, and their values are
+    pixels[indptr[q]:indptr[q + 1]] and values[indptr[q]:indptr[q + 1]];
+    bits[q] is the row's nonzero mask packed with np.packbits.
+    """
+
+    indptr: np.ndarray
+    pixels: np.ndarray
+    values: np.ndarray
+    bits: np.ndarray
+
+
 @dataclass(frozen=True)
 class SoftMaskSet:
     """A set of m soft mask proposals over N views of H x W pixels.
 
-    values:       (m, N, H, W) float64 array, entries in [0, 1].
+    values:       (m, N, H, W) float64 array, entries in [0, 1]. Stored
+                  read-only, so the derived `support` cannot go stale; a
+                  float64 array is stored as given, not copied, so the
+                  caller's array becomes read-only too.
     class_probs:  (m, C) float64 array of finite per-class scores. Rows need
                   not sum to one: a proposal's class is derived as the argmax
                   of its row, and no class map is stored.
@@ -72,8 +91,23 @@ class SoftMaskSet:
             raise ValueError("class_probs columns must match class table size")
         if not np.isfinite(probs).all():
             raise ValueError("class_probs must be finite")
+        values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "class_probs", probs)
+
+    @cached_property
+    def support(self) -> MaskSupport:
+        """The nonzero pixels of every proposal, built in one pass on first use."""
+        m, size = self.num_queries, self.values[0].size
+        flat = self.values.reshape(m, -1)
+        nz = flat > 0.0
+        f = np.flatnonzero(nz)
+        # f ascends, so each row's entries start where its first flat index would
+        indptr = np.searchsorted(f, np.arange(m + 1) * size)
+        index = MaskSupport(indptr, f % size, flat.ravel()[f], np.packbits(nz, axis=1))
+        for a in index:
+            a.flags.writeable = False
+        return index
 
     @property
     def num_queries(self) -> int:

@@ -67,21 +67,24 @@ def _empty_map(masks: SoftMaskSet) -> PanopticMap:
 
 
 def _scatter_argmax(
-    flat: np.ndarray, queries: np.ndarray, weights: np.ndarray
+    masks: SoftMaskSet, queries: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per pixel, the largest of weights[k] * flat[queries[k]] over k and the
-    first k attaining it: np.argmax over the stacked rows, ties and all-zero
-    pixels (value 0, winner 0) included, for nonnegative values and weights.
+    """Per flat pixel, the largest of weights[k] * values[queries[k]] over k
+    and the first k attaining it: np.argmax over the stacked rows, ties and
+    all-zero pixels (value 0, winner 0) included, for nonnegative weights.
 
     Starts from value 0 and winner 0, visits the queries in order and takes a
     pixel only on a strictly larger value, so each query touches only its
-    nonzero pixels and no (k, pixels) stack is built.
+    nonzero pixels (read from `masks.support`) and no (k, pixels) stack is
+    built.
     """
-    best = np.zeros(flat.shape[1], dtype=np.float64)
-    winner = np.zeros(flat.shape[1], dtype=np.intp)
+    sup = masks.support
+    ptr = sup.indptr.tolist()
+    best = np.zeros(masks.values[0].size, dtype=np.float64)
+    winner = np.zeros(best.size, dtype=np.intp)
     for k, q in enumerate(queries.tolist()):
-        idx = np.flatnonzero(flat[q])
-        vals = weights[k] * flat[q, idx]
+        idx = sup.pixels[ptr[q] : ptr[q + 1]]
+        vals = weights[k] * sup.values[ptr[q] : ptr[q + 1]]
         better = vals > best[idx]
         best[idx[better]] = vals[better]
         winner[idx[better]] = k
@@ -130,17 +133,17 @@ def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMa
         assignment = solve_exact(instance)
     else:
         assignment = solve_anneal(instance, cfg.anneal)
-    selected = keep[assignment.selected()]
-    if selected.size == 0:
+    chosen = assignment.selected()
+    if chosen.size == 0:
         warnings.warn("QUBO selected no proposals; output is void")
         return _empty_map(masks)
 
-    flat = masks.values.reshape(masks.num_queries, -1)
+    # rows of sub, so the build's support index serves the assembly too;
     # a weight of 1.0 leaves every value exactly as it is
-    win_val, winner = _scatter_argmax(flat, selected, np.ones(selected.size))
+    win_val, winner = _scatter_argmax(sub, chosen, np.ones(chosen.size))
     instance_ids = np.where(win_val >= cfg.void_threshold, winner + 1, 0)
     return _assemble(
-        masks, instance_ids.reshape(masks.values.shape[1:]), selected.tolist()
+        masks, instance_ids.reshape(masks.values.shape[1:]), keep[chosen].tolist()
     )
 
 
@@ -156,7 +159,8 @@ def merge_baseline(
     that view and their pixels re-voided.
 
     The vote visits each kept query's nonzero pixels only (a scatter-max),
-    and the per-view supports are one histogram over the winners.
+    and the per-view areas and supports are one histogram each, the areas
+    over `masks.support` and the supports over the winners.
     """
     cfg = cfg or BaselineConfig()
     conf = masks.class_probs.max(axis=1)
@@ -164,9 +168,9 @@ def merge_baseline(
     if keep.size == 0:
         return _empty_map(masks)
 
-    n = masks.num_views
-    flat = masks.values.reshape(masks.num_queries, -1)
-    _, winner = _scatter_argmax(flat, keep, conf[keep])
+    m, n = masks.num_queries, masks.num_views
+    flat = masks.values.reshape(m, -1)
+    _, winner = _scatter_argmax(masks, keep, conf[keep])
     win_mask_val = np.take_along_axis(flat, keep[winner][None], axis=0)[0]
     labeled = (win_mask_val >= 0.5).reshape(n, -1)
     winner = winner.reshape(n, -1)
@@ -175,9 +179,11 @@ def merge_baseline(
     # every (view, query) vote support can be counted before any is dropped.
     # A query with no area in a view has no labeled pixels there to drop.
     views = np.arange(n)[:, None]
-    area = np.array(
-        [np.count_nonzero(flat[q].reshape(n, -1) >= 0.5, axis=1) for q in keep]
-    ).T  # (N, k)
+    sup = masks.support
+    rows = np.repeat(np.arange(m), np.diff(sup.indptr))
+    half = sup.values >= 0.5
+    cells = rows[half] * n + sup.pixels[half] // (masks.height * masks.width)
+    area = np.bincount(cells, minlength=m * n).reshape(m, n)[keep].T  # (N, k)
     votes = (views * keep.size + winner)[labeled]
     support = np.bincount(votes, minlength=area.size).reshape(area.shape)
     drop = support < cfg.vote_support_threshold * area

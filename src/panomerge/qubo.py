@@ -94,22 +94,25 @@ def build_qubo(masks: SoftMaskSet, penalty: float = DEFAULT_PENALTY) -> QuboInst
     fuzzy overlap sum_k min(M_ik, M_jk), computed once per unordered pair so
     symmetry holds exactly.
 
-    The overlaps visit supports only: packed nonzero bits find the later
-    proposals j whose support meets that of i, and the minimum is summed over
-    i's support alone (outside it the minimum is 0). Pairs with disjoint
-    supports stay exactly 0.
+    The overlaps visit supports only (`masks.support`): packed nonzero bits
+    find the later proposals j whose support meets that of i, and the minimum
+    is summed over i's support alone (outside it the minimum is 0). Pairs with
+    disjoint supports stay exactly 0. The linear terms stay dense sums, whose
+    rounding a sum over the nonzeros alone would not reproduce.
     """
     m = masks.num_queries
     flat = masks.values.reshape(m, -1)
     linear = flat.sum(axis=1)
     quad = np.zeros((m, m), dtype=np.float64)
-    bits = np.packbits(flat > 0.0, axis=1)
+    sup = masks.support
+    bits, ptr = sup.bits, sup.indptr.tolist()
     for i in range(m - 1):
         cols = np.flatnonzero(bits[i])
         js = i + 1 + np.flatnonzero((bits[i + 1 :, cols] & bits[i, cols]).any(axis=1))
         if js.size:
-            idx = np.flatnonzero(flat[i])
-            ov = np.minimum(flat[js[:, None], idx], flat[i, idx]).sum(axis=1)
+            idx = sup.pixels[ptr[i] : ptr[i + 1]]
+            vals = sup.values[ptr[i] : ptr[i + 1]]
+            ov = np.minimum(flat[js[:, None], idx], vals).sum(axis=1)
             quad[i, js] = ov
             quad[js, i] = ov
     return QuboInstance(linear, quad, penalty)
@@ -247,6 +250,8 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig | None = None) -> Assignment
     ties between restarts go to the lowest restart index.
     """
     cfg = cfg or AnnealConfig()
+    if q.num_vars == 0:
+        return Assignment(np.zeros(0, dtype=bool), 0.0)
     nbrs = _neighbours(q)
     best_bits = None
     best_obj = -math.inf

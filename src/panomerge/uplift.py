@@ -107,10 +107,17 @@ def uplift_labels(labels: PanopticMap, weights: SplatWeightTable) -> SplatLabelF
     if labels.instance_to_class:
         num_labels = max(num_labels, max(labels.instance_to_class))
     flat = labels.instance_ids.reshape(labels.num_views, -1)
-    record_labels = flat[weights.views, weights.pixels]
+    # IDs lie below 2^24; intp keeps the bincount keys integer for any ID dtype
+    record_labels = flat[weights.views, weights.pixels].astype(np.intp)
 
-    dist = np.zeros((weights.num_splats, num_labels + 1), dtype=np.float64)
-    np.add.at(dist, (weights.splat_ids, record_labels), weights.weights)
+    # bincount adds in record order, as np.add.at would; with no records
+    # it returns integer zeros
+    width = num_labels + 1
+    dist = np.bincount(
+        weights.splat_ids * width + record_labels,
+        weights=weights.weights,
+        minlength=weights.num_splats * width,
+    ).astype(np.float64, copy=False).reshape(weights.num_splats, width)
     totals = dist.sum(axis=1)
     observed = totals > 0.0
     dist[observed] /= totals[observed, None]
@@ -126,16 +133,22 @@ def render_labels(
     Per pixel, accumulates weight * distribution over the contributing splats
     and returns the argmax label (ties toward the lower label). Pixels with no
     accumulated mass, or dominated by the void column, stay void.
+
+    Only the nonzero distribution entries are accumulated, in record order:
+    the terms skipped are exact zeros, which would add nothing.
     """
     if not 0 <= view < weights.num_views:
         raise ValueError(f"unknown view {view}")
     sel = weights.views == view
-    acc = np.zeros((weights.height * weights.width, field.distributions.shape[1]))
-    np.add.at(
-        acc,
-        weights.pixels[sel],
-        weights.weights[sel, None] * field.distributions[weights.splat_ids[sel]],
-    )
+    dist = field.distributions[weights.splat_ids[sel]]
+    rec, label = np.nonzero(dist)
+    width = dist.shape[1]
+    pixels = weights.height * weights.width
+    acc = np.bincount(
+        weights.pixels[sel][rec] * width + label,
+        weights=weights.weights[sel][rec] * dist[rec, label],
+        minlength=pixels * width,
+    ).reshape(pixels, width)
     out = np.argmax(acc, axis=1)
     out[acc.sum(axis=1) <= 0.0] = 0
     return out.reshape(weights.height, weights.width).astype(np.int32)

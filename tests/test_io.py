@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 import panomerge.io as pio
 from panomerge import ClassTable, PanopticMap, SceneSpec, generate_scene
+from panomerge.cli import _load_mask_set
 from panomerge.io import (
     FormatError,
     read_panoptic,
@@ -65,6 +66,35 @@ class TestTensorFile:
         assert peak <= 1.1 * arr.nbytes
         assert np.array_equal(back, arr)
         assert back.flags.writeable
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_read_into_dtype_matches_astype(self, tmp_path, seed):
+        rng = np.random.default_rng(seed)
+        arr = random_tensor(rng)
+        if seed == 0:  # several conversion chunks and a partial last one
+            arr = rng.random(int(2.5 * pio._READ_CHUNK)).astype(np.float32)
+        path = tmp_path / "a.pmt"
+        write_tensor(path, arr)
+        back = read_tensor(path, dtype=np.float64)
+        assert back.dtype == np.float64
+        assert np.array_equal(back, arr.astype(np.float64))
+
+    def test_mask_set_load_peaks_near_what_it_holds(self, tmp_path):
+        rng = np.random.default_rng(0)
+        masks, probs = tmp_path / "masks.pmt", tmp_path / "classprobs.pmt"
+        write_tensor(masks, rng.random((20, 8, 96, 96), dtype=np.float32))
+        write_tensor(probs, rng.random((20, 3), dtype=np.float32))
+        table = ClassTable(("a", "b", "c"), (True, True, False))
+        pio.write_class_table(probs.with_suffix(".json"), table)
+        tracemalloc.start()
+        try:
+            loaded = _load_mask_set(str(masks), str(probs))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = loaded.values.nbytes + loaded.class_probs.nbytes
+        assert peak <= 1.1 * held
+        assert np.array_equal(loaded.values, read_tensor(masks).astype(np.float64))
 
     def test_forged_dims_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "forged.pmt"

@@ -143,6 +143,52 @@ class TestValidation:
 
 
 @st.composite
+def sparse_values(draw):
+    """Mask values with many zeros: all-zero rows, m = 1 and a single pixel
+    are all drawn."""
+    m = draw(st.integers(1, 5))
+    shape = draw(st.tuples(*(st.integers(1, 4) for _ in range(3))))
+    grid = st.sampled_from([0.0, 0.0, 5e-324, 0.25, 1.0])
+    return draw(arrays(np.float64, (m, *shape), elements=grid))
+
+
+class TestSupport:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_values())
+    def test_matches_dense_rows(self, values):
+        masks = make_mask_set(values)
+        flat = values.reshape(values.shape[0], -1)
+        sup = masks.support
+        assert sup.indptr[0] == 0 and sup.indptr[-1] == sup.pixels.size
+        for q, row in enumerate(flat):
+            lo, hi = sup.indptr[q], sup.indptr[q + 1]
+            np.testing.assert_array_equal(sup.pixels[lo:hi], np.flatnonzero(row))
+            np.testing.assert_array_equal(sup.values[lo:hi], row[row != 0.0])
+        np.testing.assert_array_equal(sup.bits, np.packbits(flat > 0.0, axis=1))
+
+    def test_single_pixel_and_all_zero_rows(self):
+        sup = make_mask_set(np.array([[[[0.5]]], [[[0.0]]]])).support
+        assert sup.indptr.tolist() == [0, 1, 1]
+        assert sup.pixels.tolist() == [0] and sup.values.tolist() == [0.5]
+        assert sup.bits.tolist() == [[128], [0]]
+
+    def test_built_once(self):
+        masks = random_mask_set(np.random.default_rng(0))
+        assert masks.support is masks.support
+
+    def test_values_are_read_only(self):
+        values = np.full((1, 1, 2, 2), 0.5)
+        masks = make_mask_set(values)
+        with pytest.raises(ValueError):
+            masks.values[0, 0, 0, 0] = 1.0
+        # a float64 array is stored as given, so the caller's array is locked too
+        with pytest.raises(ValueError):
+            values[0, 0, 0, 0] = 1.0
+        with pytest.raises(ValueError):
+            masks.support.values[:] = 1.0
+
+
+@st.composite
 def labelled_maps(draw):
     """A small instance map plus a mapping that may name IDs absent from it."""
     ids = draw(st.lists(st.integers(1, (1 << 24) - 1), unique=True, max_size=6))

@@ -286,6 +286,13 @@ class TestSolveAnneal:
         assert not result.bits.any()
         assert result.objective == 0.0
 
+    def test_no_variables_agrees_with_exact(self):
+        q = QuboInstance(np.zeros(0), np.zeros((0, 0)))
+        annealed, exact = solve_anneal(q), solve_exact(q)
+        assert annealed.bits.shape == exact.bits.shape == (0,)
+        assert annealed.bits.dtype == exact.bits.dtype == bool
+        assert annealed.objective == exact.objective == 0.0
+
     @pytest.mark.parametrize("seed", range(20))
     def test_near_optimal_on_random_instances(self, seed):
         rng = np.random.default_rng(seed)

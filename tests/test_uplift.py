@@ -17,6 +17,66 @@ from panomerge import (
 )
 
 
+# Dense oracles: uplift and render as they were before they accumulated with
+# one np.bincount each. Both add in record order with np.add.at.
+
+
+def ref_uplift_labels(labels, weights):
+    num_labels = int(labels.instance_ids.max(initial=0))
+    if labels.instance_to_class:
+        num_labels = max(num_labels, max(labels.instance_to_class))
+    flat = labels.instance_ids.reshape(labels.num_views, -1)
+    record_labels = flat[weights.views, weights.pixels]
+    dist = np.zeros((weights.num_splats, num_labels + 1), dtype=np.float64)
+    np.add.at(dist, (weights.splat_ids, record_labels), weights.weights)
+    totals = dist.sum(axis=1)
+    observed = totals > 0.0
+    dist[observed] /= totals[observed, None]
+    dist[~observed] = 0.0
+    return SplatLabelField(dist)
+
+
+def ref_render_labels(field, weights, view):
+    sel = weights.views == view
+    acc = np.zeros((weights.height * weights.width, field.distributions.shape[1]))
+    np.add.at(
+        acc,
+        weights.pixels[sel],
+        weights.weights[sel, None] * field.distributions[weights.splat_ids[sel]],
+    )
+    out = np.argmax(acc, axis=1)
+    out[acc.sum(axis=1) <= 0.0] = 0
+    return out.reshape(weights.height, weights.width).astype(np.int32)
+
+
+@st.composite
+def uplift_cases(draw):
+    """A label map of any integer ID dtype, a weight table whose records may
+    repeat splats across views, carry zero or tied weights, or skip some
+    splats entirely, and a mapping that may name an ID absent from the map."""
+    n, h, w = (draw(st.integers(1, 3)) for _ in range(3))
+    g = draw(st.integers(1, 4))
+    ids = draw(st.lists(st.sampled_from([0, 1, 2, 5]), min_size=n * h * w,
+                        max_size=n * h * w))
+    dtype = draw(st.sampled_from([np.int32, np.uint16, np.uint64]))
+    inst = np.array(ids, dtype=dtype).reshape(n, h, w)
+    extra = draw(st.sampled_from([{}, {7: 1}]))
+    labels = PanopticMap.from_instances(
+        inst, {i: 0 for i in set(ids) - {0}} | extra, table2()
+    )
+    triples = draw(st.lists(
+        st.tuples(st.integers(0, g - 1), st.integers(0, n - 1),
+                  st.integers(0, h * w - 1)),
+        unique=True, max_size=4 * n * h * w,
+    ))
+    # 0.1 + 0.2 + 0.3 rounds differently in another order
+    wts = draw(st.lists(st.sampled_from([0.0, 0.1, 0.2, 0.3, 1.0, 3.0]),
+                        min_size=len(triples), max_size=len(triples)))
+    cols = np.array(triples, dtype=np.int64).reshape(-1, 3).T
+    table = SplatWeightTable(g, n, h, w, cols[0], cols[1], cols[2], np.array(wts))
+    return labels, table
+
+
 def table2():
     return ClassTable(("a", "b"), (True, False))
 
@@ -163,6 +223,30 @@ class TestRenderLabels:
             rendered, merged.instance_to_class, merged.class_table
         )
         assert scene_pq(round_trip, merged, merged.class_table).pq == 100.0
+
+
+class TestAgainstDenseOracles:
+    @settings(max_examples=800, deadline=None)
+    @given(uplift_cases())
+    def test_uplift_and_render_match_exactly(self, case):
+        labels, weights = case
+        field = uplift_labels(labels, weights)
+        want = ref_uplift_labels(labels, weights)
+        np.testing.assert_array_equal(field.distributions, want.distributions)
+        for v in range(weights.num_views):
+            np.testing.assert_array_equal(
+                render_labels(field, weights, v), ref_render_labels(want, weights, v)
+            )
+
+    def test_generated_scene_matches_exactly(self):
+        gt, _, splats = generate_scene(SceneSpec(seed=2))
+        field = uplift_labels(gt, splats)
+        want = ref_uplift_labels(gt, splats)
+        assert np.array_equal(field.distributions, want.distributions)
+        for v in range(splats.num_views):
+            assert np.array_equal(
+                render_labels(field, splats, v), ref_render_labels(want, splats, v)
+            )
 
 
 class TestSplatWeightTable:
