@@ -47,13 +47,44 @@ def fps_select(
         raise IndexError(f"seed_index {seed_index} out of range for N={n}")
     vec = desc.vectors
     if metric == "euclidean":
-        buf = np.empty_like(vec)
+        # numpy's own loops rather than BLAS (@, np.dot): BLAS worker threads
+        # slow the single-threaded stages that run after keyframe selection
+        sq = np.einsum("ij,ij->i", vec, vec)
+        eps, tiny = np.finfo(np.float64).eps, np.finfo(np.float64).smallest_subnormal
+        slack = 4 * (vec.shape[1] + 4)
 
-        def distances_to(i: int) -> np.ndarray:
-            # np.linalg.norm(vec - vec[i], axis=1), without a fresh temporary
-            np.subtract(vec, vec[i], out=buf)
-            np.multiply(buf, buf, out=buf)
-            return np.sqrt(np.add.reduce(buf, axis=1))
+        def distances_to(i: int, rows=slice(None)) -> np.ndarray:
+            # np.linalg.norm(vec[rows] - vec[i], axis=1), one temporary
+            diff = vec[rows] - vec[i]
+            np.multiply(diff, diff, out=diff)
+            return np.sqrt(np.add.reduce(diff, axis=1))
+
+        def lower(min_dist: np.ndarray, i: int) -> None:
+            # A row whose exact squared distance S to vec[i] provably reaches
+            # min_dist**2 keeps its minimum, as the rounded sqrt(S) cannot
+            # fall below the double min_dist; only the other rows are
+            # computed. The proof compares approx, the expansion
+            # |a|^2 + |b|^2 - 2 a.b, less err with min_dist**2. With d = dim,
+            # each rounding of x errs by at most eps/2 |x| + tiny/2 (tiny the
+            # smallest subnormal). Against the true T = |vec[r] - vec[i]|^2,
+            # at most 2 (sq[r] + sq[i]), S errs by at most
+            # (d + 2) eps (sq[r] + sq[i]) + d tiny/2 (d differences, squares
+            # and sums of nonnegative terms) and approx by
+            # (d + 2) eps (sq[r] + sq[i]) + 2 d tiny (two squared norms, a
+            # doubled dot product, two additions). err's relative term is
+            # twice their sum, which also covers sq itself being rounded; its
+            # absolute term 4 (d + 4) tiny covers their 2.5 d tiny and the
+            # rounding of err, min_dist**2 and the subtraction below the
+            # normal range. The relative margin covers those roundings in the
+            # normal range. Overflow makes approx - err NaN or -inf, or
+            # min_dist**2 inf, so those rows fail the test and are computed.
+            with np.errstate(over="ignore", invalid="ignore"):
+                pair = sq + sq[i]
+                approx = pair - 2.0 * np.einsum("ij,j->i", vec, vec[i])
+                err = slack * (eps * pair + tiny)
+                unchanged = approx - err > min_dist * min_dist * (1.0 + 1e-12)
+            rows = np.flatnonzero(~unchanged)
+            min_dist[rows] = np.minimum(min_dist[rows], distances_to(i, rows))
 
     elif metric == "cosine":
         norms = np.linalg.norm(vec, axis=1)
@@ -61,6 +92,9 @@ def fps_select(
 
         def distances_to(i: int) -> np.ndarray:
             return 1.0 - unit @ unit[i]
+
+        def lower(min_dist: np.ndarray, i: int) -> None:
+            np.minimum(min_dist, distances_to(i), out=min_dist)
 
     else:
         raise ValueError(f"unknown metric {metric!r}")
@@ -70,6 +104,6 @@ def fps_select(
     for _ in range(k - 1):
         nxt = int(np.argmax(min_dist))
         selected.append(nxt)
-        np.minimum(min_dist, distances_to(nxt), out=min_dist)
+        lower(min_dist, nxt)
         min_dist[nxt] = -np.inf
     return selected

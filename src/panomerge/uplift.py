@@ -9,17 +9,29 @@ weight-scaled splat distributions per pixel and takes the argmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .masks import PanopticMap
 
 
+def _read_only_column(values, dtype) -> np.ndarray:
+    col = np.asarray(values, dtype=dtype)
+    # not ravel: its view of a 1-D array would leave the given array writable
+    col = col if col.ndim == 1 else col.flatten()
+    col.flags.writeable = False
+    return col
+
+
 @dataclass(frozen=True)
 class SplatWeightTable:
     """Sparse (splat, view, pixel, weight) records of alpha-blend contributions.
 
-    Pixel indices are flat row-major indices into an H x W view.
+    Pixel indices are flat row-major indices into an H x W view. The four
+    columns are stored read-only, so the derived `view_index` cannot go
+    stale; a 1-D column of the stored dtype is stored as given, not copied,
+    so the caller's array becomes read-only too.
     """
 
     num_splats: int
@@ -32,10 +44,12 @@ class SplatWeightTable:
     weights: np.ndarray
 
     def __post_init__(self):
-        sid = np.asarray(self.splat_ids, dtype=np.int64).ravel()
-        view = np.asarray(self.views, dtype=np.int64).ravel()
-        pix = np.asarray(self.pixels, dtype=np.int64).ravel()
-        w = np.asarray(self.weights, dtype=np.float64).ravel()
+        sid, view, pix, w = (
+            _read_only_column(self.splat_ids, np.int64),
+            _read_only_column(self.views, np.int64),
+            _read_only_column(self.pixels, np.int64),
+            _read_only_column(self.weights, np.float64),
+        )
         n = sid.shape[0]
         if not (view.shape[0] == pix.shape[0] == w.shape[0] == n):
             raise ValueError("record columns must have equal length")
@@ -64,11 +78,25 @@ class SplatWeightTable:
     def num_records(self) -> int:
         return self.splat_ids.shape[0]
 
+    @cached_property
+    def view_index(self) -> tuple[np.ndarray, np.ndarray]:
+        """(order, sorted_views), built on first use: the records of view v
+        are order[lo:hi], ascending, where [lo, hi) is the run of v in
+        sorted_views = views[order]. Not one offset per view: num_views
+        comes from a u32 file header."""
+        order = np.argsort(self.views, kind="stable")
+        index = (order, self.views[order])
+        for a in index:
+            a.flags.writeable = False
+        return index
+
 
 @dataclass(frozen=True)
 class SplatLabelField:
     """Per-splat label distributions: each row sums to one, or is all-zero
-    for a splat no labeled pixel observed."""
+    for a splat no labeled pixel observed. Stored read-only, so the derived
+    `support` cannot go stale; a float64 array is stored as given, not
+    copied, so the caller's array becomes read-only too."""
 
     distributions: np.ndarray  # (G, L + 1), column 0 = void
 
@@ -82,7 +110,20 @@ class SplatLabelField:
         sums = dist.sum(axis=1)
         if ((sums != 0.0) & (np.abs(sums - 1.0) > 1e-6)).any():
             raise ValueError("splat distributions must sum to 0 or to 1")
+        dist.flags.writeable = False
         object.__setattr__(self, "distributions", dist)
+
+    @cached_property
+    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(indptr, labels, values), built on first use: splat g's nonzero
+        labels, ascending, and their masses are labels[indptr[g]:indptr[g + 1]]
+        and values[indptr[g]:indptr[g + 1]]."""
+        splat, label = np.nonzero(self.distributions)
+        indptr = np.searchsorted(splat, np.arange(self.distributions.shape[0] + 1))
+        index = (indptr, label, self.distributions[splat, label])
+        for a in index:
+            a.flags.writeable = False
+        return index
 
     @property
     def observed(self) -> np.ndarray:
@@ -134,19 +175,27 @@ def render_labels(
     and returns the argmax label (ties toward the lower label). Pixels with no
     accumulated mass, or dominated by the void column, stay void.
 
-    Only the nonzero distribution entries are accumulated, in record order:
-    the terms skipped are exact zeros, which would add nothing.
+    Only the nonzero distribution entries are accumulated, in (record, label)
+    order: the terms skipped are exact zeros, which would add nothing.
     """
     if not 0 <= view < weights.num_views:
         raise ValueError(f"unknown view {view}")
-    sel = weights.views == view
-    dist = field.distributions[weights.splat_ids[sel]]
-    rec, label = np.nonzero(dist)
-    width = dist.shape[1]
+    order, sorted_views = weights.view_index
+    lo, hi = np.searchsorted(sorted_views, (view, view + 1))
+    records = order[lo:hi]
+    indptr, labels, values = field.support
+    splats = weights.splat_ids[records]
+    first = indptr[splats]
+    count = indptr[splats + 1] - first
+    # each record repeated once per nonzero label of its splat, and the
+    # position of that label in the support
+    rec = np.repeat(records, count)
+    entry = np.arange(rec.size) + np.repeat(first - (np.cumsum(count) - count), count)
+    width = field.distributions.shape[1]
     pixels = weights.height * weights.width
     acc = np.bincount(
-        weights.pixels[sel][rec] * width + label,
-        weights=weights.weights[sel][rec] * dist[rec, label],
+        weights.pixels[rec] * width + labels[entry],
+        weights=weights.weights[rec] * values[entry],
         minlength=pixels * width,
     ).reshape(pixels, width)
     out = np.argmax(acc, axis=1)

@@ -34,24 +34,34 @@ def ref_fps_select(vectors, k, seed_index, metric):
 
 @st.composite
 def descriptor_sets(draw):
-    """(N, dim) descriptors with some zero rows and some duplicated rows."""
+    """(N, dim) descriptors, dim up to 300, with zero rows, exact duplicates
+    and rows one ulp apart. Hypothesis floats (dim up to 6), Gaussian or
+    integer entries (exact ties) are scaled from 1e-162, where squares go
+    subnormal, to 1e155, where they overflow, and may share a common offset
+    far larger than their spread."""
     n = draw(st.integers(1, 25))
-    dim = draw(st.integers(1, 6))
-    vec = draw(
-        arrays(
-            np.float64,
-            (n, dim),
-            elements=st.one_of(
-                st.integers(-3, 3).map(float),
-                st.floats(-1e3, 1e3, allow_subnormal=False),
-            ),
-        )
+    kind = draw(st.sampled_from(["floats", "integers", "gaussian"]))
+    if kind == "floats":
+        vec = draw(arrays(np.float64, (n, draw(st.integers(1, 6))),
+                          elements=st.floats(-1e3, 1e3, allow_subnormal=False)))
+    else:
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        shape = (n, draw(st.integers(1, 300)))
+        if kind == "integers":
+            vec = rng.integers(-3, 4, shape).astype(float)
+        else:
+            vec = rng.standard_normal(shape)
+    offset = draw(st.sampled_from([0.0, 0.0, 1e8]))
+    vec = (vec + offset) * draw(
+        st.sampled_from([1e-162, 1e-160, 1e-100, 1e-3, 1.0, 1e3, 1e100, 1e150, 1e155])
     )
     rows = st.integers(0, n - 1)
     for i in draw(st.lists(rows, max_size=3)):
         vec[i] = 0.0
     for i, j in draw(st.lists(st.tuples(rows, rows), max_size=3)):
         vec[i] = vec[j]
+    for i, j in draw(st.lists(st.tuples(rows, rows), max_size=3)):
+        vec[i] = np.nextafter(vec[j], draw(st.sampled_from([-np.inf, np.inf])))
     return vec
 
 
@@ -129,7 +139,8 @@ class TestFpsSelect:
         desc = descriptors(rng.random((50, 6)))
         assert fps_select(desc, k=20) == fps_select(desc, k=20)
 
-    @settings(max_examples=200, deadline=None)
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @settings(max_examples=400, deadline=None)
     @given(descriptor_sets(), st.sampled_from(["euclidean", "cosine"]), st.data())
     def test_matches_reference(self, vec, metric, data):
         n = vec.shape[0]
@@ -138,6 +149,41 @@ class TestFpsSelect:
         assert fps_select(FrameDescriptors(vec), k, seed_index, metric) == (
             ref_fps_select(vec, k, seed_index, metric)
         )
+
+    # The benchmark's descriptor sets; a common offset far above the spread,
+    # where the squared-norm expansion cancels; and entries whose products
+    # are subnormal, where every rounding is absolute, with integer entries
+    # so that distances tie often; and duplicated rows whose squares
+    # overflow, so that the expansion is NaN.
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("seed", range(5))
+    @pytest.mark.parametrize(
+        "make, k",
+        [
+            (lambda rng: rng.standard_normal((2000, 256)), 50),
+            (lambda rng: rng.standard_normal((25, 64)) + 1e8, 25),
+            (lambda rng: rng.integers(-3, 4, (25, 64)) * 1e-162, 25),
+            (lambda rng: np.repeat(rng.standard_normal((5, 64)), 5, axis=0) * 1e155, 25),
+        ],
+        ids=["gaussian", "offset", "subnormal", "overflow"],
+    )
+    def test_matches_reference_on_fixed_sets(self, make, k, seed):
+        vec = make(np.random.default_rng(seed))
+        assert fps_select(FrameDescriptors(vec), k) == ref_fps_select(
+            vec, k, 0, "euclidean"
+        )
+
+    # The euclidean path recomputes only some rows of (vec - vec[c])**2 and
+    # reduces them alone; that must give each row's full-array value bitwise.
+    @pytest.mark.parametrize("shape", [(2000, 256), (25, 300), (25, 7), (25, 1), (1, 300)])
+    def test_subset_row_sums_match_full_array(self, shape):
+        rng = np.random.default_rng(shape[1])
+        sq = np.square(rng.standard_normal(shape) * 1e3)
+        full = np.add.reduce(sq, axis=1)
+        n = shape[0]
+        for rows in [np.arange(n), np.arange(0, n, 3), np.array([n - 1]),
+                     np.sort(rng.choice(n, (n + 1) // 2, replace=False))]:
+            np.testing.assert_array_equal(np.add.reduce(sq[rows], axis=1), full[rows])
 
     def test_unknown_metric_rejected(self):
         with pytest.raises(ValueError, match="unknown metric"):

@@ -249,6 +249,45 @@ class TestAgainstDenseOracles:
             )
 
 
+class TestRenderIndices:
+    @settings(max_examples=300, deadline=None)
+    @given(uplift_cases())
+    def test_match_flatnonzero_and_nonzero(self, case):
+        labels, weights = case
+        order, sorted_views = weights.view_index
+        for v in range(weights.num_views):
+            lo, hi = np.searchsorted(sorted_views, (v, v + 1))
+            np.testing.assert_array_equal(order[lo:hi], np.flatnonzero(weights.views == v))
+        assert sorted_views.size == weights.num_records
+        dist = uplift_labels(labels, weights).distributions
+        indptr, label, value = SplatLabelField(dist).support
+        splat, want = np.nonzero(dist)
+        np.testing.assert_array_equal(label, want)
+        np.testing.assert_array_equal(value, dist[splat, want])
+        np.testing.assert_array_equal(np.diff(indptr), np.count_nonzero(dist, axis=1))
+        assert indptr[0] == 0
+
+    def test_built_once_and_read_only(self):
+        gt, _, splats = generate_scene(SceneSpec(seed=2))
+        field = uplift_labels(gt, splats)
+        assert splats.view_index is splats.view_index
+        assert field.support is field.support
+        arrays = [*splats.view_index, *field.support, field.distributions,
+                  splats.splat_ids, splats.views, splats.pixels, splats.weights]
+        for a in arrays:
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+    def test_given_arrays_are_locked(self):
+        views, weights = np.zeros(2, dtype=np.int64), np.ones(2)
+        SplatWeightTable(1, 1, 1, 2, np.zeros(2), views, np.arange(2), weights)
+        dist = np.array([[0.0, 1.0]])
+        SplatLabelField(dist)
+        for a in (views, weights, dist):
+            with pytest.raises(ValueError):
+                a[0] = 1
+
+
 class TestSplatWeightTable:
     def test_duplicate_triples_rejected(self):
         with pytest.raises(ValueError):
