@@ -9,33 +9,23 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
 
 from . import io as pio
-from .keyframe import DEFAULT_NUM_KEYFRAMES, FrameDescriptors, fps_select
+from .keyframe import FrameDescriptors, fps_select
 from .masks import PanopticMap, SoftMaskSet
 from .merging import BaselineConfig, MergeConfig, merge_baseline, merge_qubo
 from .metrics import dataset_pq, scene_pq
-from .qubo import AnnealConfig, QuboInstance, solve_anneal, solve_exact
+from .qubo import DEFAULT_PENALTY, AnnealConfig, QuboInstance, solve_anneal, solve_exact
 from .synthgen import CorruptionSpec, SceneSpec, generate_scene
 from .uplift import SplatLabelField, render_labels, uplift_labels
 
 EXIT_OK = 0
 EXIT_USAGE = 2
 EXIT_IO = 3
-
-
-def _max_threads() -> int:
-    raw = os.environ.get("PANOMERGE_THREADS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return os.cpu_count() or 1
 
 
 def _anneal_config(args) -> AnnealConfig:
@@ -48,10 +38,10 @@ def _anneal_config(args) -> AnnealConfig:
 
 
 def _add_anneal_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--sweeps", type=int, default=300)
-    p.add_argument("--restarts", type=int, default=4)
-    p.add_argument("--cooling", type=float, default=0.97)
+    p.add_argument("--seed", type=int, default=AnnealConfig.seed)
+    p.add_argument("--sweeps", type=int, default=AnnealConfig.sweeps)
+    p.add_argument("--restarts", type=int, default=AnnealConfig.restarts)
+    p.add_argument("--cooling", type=float, default=AnnealConfig.cooling_rate)
 
 
 def _load_mask_set(masks_path: str, probs_path: str) -> SoftMaskSet:
@@ -103,8 +93,7 @@ def cmd_merge(args) -> int:
     )
     pmap = merge_qubo(masks, cfg)
     pio.write_panoptic(args.out, pmap)
-    selected = sorted(pmap.instance_to_class)
-    print(f"selected {len(selected)} proposals")
+    print(f"selected {len(pmap.instance_to_class)} proposals")
     return EXIT_OK
 
 
@@ -154,10 +143,7 @@ def cmd_eval_pq(args) -> int:
         ]
         if not pairs:
             raise ValueError("no matching scene pairs found")
-        with ThreadPoolExecutor(max_workers=_max_threads()) as pool:
-            reports = list(
-                pool.map(lambda pg: _eval_pair(pg[0], pg[1], void_exemption), pairs)
-            )
+        reports = [_eval_pair(pred, gt, void_exemption) for pred, gt in pairs]
         summary = dataset_pq(reports)
         doc = {
             "pq": summary.pq,
@@ -192,19 +178,14 @@ def cmd_uplift(args) -> int:
 
 
 def cmd_render_labels(args) -> int:
-    dist = pio.read_tensor(args.field).astype(np.float64)
+    field = SplatLabelField(pio.read_tensor(args.field, dtype=np.float64))
     splats = pio.read_splats(args.splats)
     labels = pio.read_panoptic(args.labels)
-    field = SplatLabelField(dist)
     views = range(splats.num_views) if args.view is None else [args.view]
     rendered = np.stack([render_labels(field, splats, v) for v in views])
+    # the classes the labels give the rendered IDs; PanopticMap names any gap
     ids = set(np.unique(rendered).tolist()) - {0}
-    missing = sorted(ids - labels.instance_to_class.keys())
-    if missing:
-        raise ValueError(
-            f"{args.labels}: no class for rendered instance ID(s) {missing}"
-        )
-    mapping = {i: labels.instance_to_class[i] for i in ids}
+    mapping = {i: c for i, c in labels.instance_to_class.items() if i in ids}
     pmap = PanopticMap.from_instances(rendered, mapping, labels.class_table)
     pio.write_panoptic(args.out, pmap)
     print(f"rendered {rendered.shape[0]} view(s)")
@@ -213,10 +194,9 @@ def cmd_render_labels(args) -> int:
 
 def cmd_fps(args) -> int:
     vectors = pio.read_tensor(args.descriptors)
-    selected = fps_select(
-        FrameDescriptors(vectors), k=args.k, seed_index=args.seed_index,
-        metric=args.metric,
-    )
+    # only the flags given: fps_select supplies its own defaults
+    given = {n: getattr(args, n) for n in ("k", "seed_index", "metric") if n in args}
+    selected = fps_select(FrameDescriptors(vectors), **given)
     text = " ".join(str(i) for i in selected)
     if args.out:
         Path(args.out).write_text(text + "\n")
@@ -231,7 +211,7 @@ def cmd_solve_qubo(args) -> int:
         fields = (
             np.asarray(doc["linear"], dtype=np.float64),
             np.asarray(doc["quadratic"], dtype=np.float64),
-            float(doc.get("penalty", 2.0)),
+            float(doc.get("penalty", DEFAULT_PENALTY)),
         )
     except pio.JSON_FIELD_ERRORS as exc:
         raise pio.FormatError(f"{args.instance}: bad QUBO instance: {exc}") from exc
@@ -252,32 +232,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
+    # every default below is the library's own
     p = sub.add_parser("synth", help="generate a synthetic benchmark scene")
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--views", type=int, default=3)
-    p.add_argument("--height", type=int, default=48)
-    p.add_argument("--width", type=int, default=48)
-    p.add_argument("--things", type=int, default=6)
-    p.add_argument("--stuff", type=int, default=2)
-    p.add_argument("--world", type=int, default=96)
-    p.add_argument("--duplicate-rate", type=float, default=0.0)
-    p.add_argument("--duplicate-count", type=int, default=2)
-    p.add_argument("--fragment-rate", type=float, default=0.0)
-    p.add_argument("--boundary-noise", type=int, default=0)
-    p.add_argument("--softness", type=float, default=0.0)
-    p.add_argument("--class-noise", type=float, default=0.0)
-    p.add_argument("--view-gain-noise", type=float, default=0.0)
+    spec, corrupt = SceneSpec, CorruptionSpec
+    p.add_argument("--seed", type=int, default=spec.seed)
+    p.add_argument("--views", type=int, default=spec.num_views)
+    p.add_argument("--height", type=int, default=spec.height)
+    p.add_argument("--width", type=int, default=spec.width)
+    p.add_argument("--things", type=int, default=spec.num_things)
+    p.add_argument("--stuff", type=int, default=spec.num_stuff)
+    p.add_argument("--world", type=int, default=spec.world_size)
+    p.add_argument("--duplicate-rate", type=float, default=corrupt.duplicate_rate)
+    p.add_argument("--duplicate-count", type=int, default=corrupt.duplicate_count)
+    p.add_argument("--fragment-rate", type=float, default=corrupt.fragment_rate)
+    p.add_argument("--boundary-noise", type=int, default=corrupt.boundary_noise_px)
+    p.add_argument("--softness", type=float, default=corrupt.softness)
+    p.add_argument("--class-noise", type=float, default=corrupt.class_noise)
+    p.add_argument("--view-gain-noise", type=float, default=corrupt.view_gain_noise)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("merge", help="QUBO mask merging")
     p.add_argument("masks")
     p.add_argument("classprobs")
     p.add_argument("--out", required=True)
-    p.add_argument("--lambda-p", type=float, default=2.0)
-    p.add_argument("--void-threshold", type=float, default=0.5)
-    p.add_argument("--prefilter", type=float, default=None)
-    p.add_argument("--solver", choices=("anneal", "exact"), default="anneal")
+    p.add_argument("--lambda-p", type=float, default=DEFAULT_PENALTY)
+    p.add_argument("--void-threshold", type=float, default=MergeConfig.void_threshold)
+    p.add_argument("--prefilter", type=float, default=MergeConfig.confidence_prefilter)
+    p.add_argument("--solver", default=MergeConfig.solver)
     _add_anneal_flags(p)
     p.set_defaults(func=cmd_merge)
 
@@ -285,8 +267,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("masks")
     p.add_argument("classprobs")
     p.add_argument("--out", required=True)
-    p.add_argument("--conf-threshold", type=float, default=0.5)
-    p.add_argument("--vote-threshold", type=float, default=0.8)
+    base = BaselineConfig
+    p.add_argument("--conf-threshold", type=float, default=base.confidence_threshold)
+    p.add_argument("--vote-threshold", type=float, default=base.vote_support_threshold)
     p.set_defaults(func=cmd_merge_baseline)
 
     p = sub.add_parser("eval-pq", help="scene or dataset Panoptic Quality")
@@ -314,9 +297,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fps", help="farthest-point keyframe selection")
     p.add_argument("descriptors")
-    p.add_argument("--k", type=int, default=DEFAULT_NUM_KEYFRAMES)
-    p.add_argument("--seed-index", type=int, default=0)
-    p.add_argument("--metric", choices=("euclidean", "cosine"), default="euclidean")
+    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--seed-index", type=int, default=argparse.SUPPRESS)
+    p.add_argument("--metric", default=argparse.SUPPRESS)
     p.add_argument("--out")
     p.set_defaults(func=cmd_fps)
 

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .masks import ClassTable, PanopticMap
+from .masks import DEFAULT_VOID_CLASS, ClassTable, PanopticMap
 from .uplift import SplatWeightTable
 
 TENSOR_MAGIC = b"PMT1"
@@ -101,6 +101,8 @@ def write_panoptic(path, pmap: PanopticMap) -> None:
     inst = pmap.instance_ids
     if inst.max(initial=0) > np.iinfo(np.uint16).max:
         raise ValueError("instance IDs exceed u16 range")
+    if pmap.class_table.void_class != DEFAULT_VOID_CLASS:  # the sidecar omits it
+        raise ValueError("panoptic files hold only the default void class")
     sidecar = {
         "instance_to_class": {str(k): int(v) for k, v in pmap.instance_to_class.items()},
         "class_table": {
@@ -177,10 +179,10 @@ def read_splats(path) -> SplatWeightTable:
         if len(raw) != 16:
             raise FormatError(f"{path}: truncated splat header")
         num_splats, num_views, height, width = struct.unpack("<4I", raw)
-        payload = f.read()
-    if len(payload) % _SPLAT_RECORD.itemsize:
-        raise FormatError(f"{path}: splat record stream length mismatch")
-    records = np.frombuffer(payload, dtype=_SPLAT_RECORD)
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        if size % _SPLAT_RECORD.itemsize:
+            raise FormatError(f"{path}: splat record stream length mismatch")
+        records = np.fromfile(f, dtype=_SPLAT_RECORD)
     try:
         return SplatWeightTable(
             num_splats=num_splats,

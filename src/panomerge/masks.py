@@ -146,9 +146,10 @@ class PanopticMap:
         ids = np.unique(inst)
         if ids.size and (ids[0] < 0 or ids[-1] >= INSTANCE_ID_LIMIT):
             raise ValueError(f"instance IDs must lie in [0, {INSTANCE_ID_LIMIT})")
-        for iid in ids.tolist():
-            if iid != VOID_INSTANCE and iid not in self.instance_to_class:
-                raise ValueError(f"instance {iid} has no class assignment")
+        to_class = self.instance_to_class
+        missing = [i for i in ids.tolist() if i != VOID_INSTANCE and i not in to_class]
+        if missing:
+            raise ValueError(f"instance ID(s) {missing} have no class assignment")
         object.__setattr__(self, "instance_ids", inst)
         object.__setattr__(self, "instance_to_class", dict(self.instance_to_class))
 

@@ -66,8 +66,12 @@ class SplatWeightTable:
             # sort rather than pack: G, N and H * W come from u32 file
             # headers, so a packed triple key could overflow int64
             order = np.lexsort((pix, view, sid))
-            s, v, p = sid[order], view[order], pix[order]
-            if ((s[1:] == s[:-1]) & (v[1:] == v[:-1]) & (p[1:] == p[:-1])).any():
+            same = np.ones(n - 1, dtype=bool)
+            for col in (sid, view, pix):  # one sorted column held at a time
+                sorted_col = col[order]
+                same &= sorted_col[1:] == sorted_col[:-1]
+                del sorted_col
+            if same.any():
                 raise ValueError("(splat, view, pixel) triples must be unique")
         object.__setattr__(self, "splat_ids", sid)
         object.__setattr__(self, "views", view)
@@ -180,6 +184,8 @@ def render_labels(
     """
     if not 0 <= view < weights.num_views:
         raise ValueError(f"unknown view {view}")
+    if field.distributions.shape[0] != weights.num_splats:
+        raise ValueError("label field and weight table disagree on the splat count")
     order, sorted_views = weights.view_index
     lo, hi = np.searchsorted(sorted_views, (view, view + 1))
     records = order[lo:hi]

@@ -6,9 +6,13 @@ import sys
 import numpy as np
 import pytest
 
+from panomerge import cli
 from panomerge.cli import main
 from panomerge.io import read_panoptic, read_tensor, write_panoptic, write_tensor
+from panomerge.keyframe import FrameDescriptors, fps_select
 from panomerge.masks import PanopticMap
+from panomerge.merging import BaselineConfig, MergeConfig
+from panomerge.synthgen import SceneSpec
 
 
 def run(args):
@@ -32,6 +36,41 @@ def test_cli_import_skips_heavy_scipy_modules():
         env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)},
     ).stdout
     assert out.strip() == "[]"
+
+
+class TestLibraryDefaults:
+    """With no optional flags, each command hands the library its own defaults."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        seen = {}
+        for name in ("generate_scene", "merge_qubo", "merge_baseline"):
+
+            def spy(*args, name=name, real=getattr(cli, name)):
+                seen[name] = args[-1]  # the spec or config, passed last
+                return real(*args)
+
+            monkeypatch.setattr(cli, name, spy)
+        return seen
+
+    def test_synth_merge_and_baseline(self, calls, tmp_path):
+        scene = tmp_path / "scene"
+        assert run(["synth", "--out", scene]) == 0
+        assert calls["generate_scene"] == SceneSpec(seed=0)
+        masks = [scene / "masks.pmt", scene / "classprobs.pmt"]
+        assert run(["merge", *masks, "--out", tmp_path / "q.pmt"]) == 0
+        assert calls["merge_qubo"] == MergeConfig()
+        assert run(["merge-baseline", *masks, "--out", tmp_path / "b.pmt"]) == 0
+        assert calls["merge_baseline"] == BaselineConfig()
+
+    def test_fps(self, tmp_path, capsys):
+        vectors = np.random.default_rng(0).random((80, 4)).astype(np.float32)
+        path = tmp_path / "desc.pmt"
+        write_tensor(path, vectors)
+        capsys.readouterr()
+        assert run(["fps", path]) == 0
+        selected = [int(t) for t in capsys.readouterr().out.split()]
+        assert selected == fps_select(FrameDescriptors(vectors))
 
 
 class TestSynthAndMerge:
@@ -76,6 +115,14 @@ class TestSynthAndMerge:
         )
         assert code == 2
         assert "24" in capsys.readouterr().err
+
+    def test_unknown_solver_is_exit_2(self, scene_dir, tmp_path, capsys):
+        code = run(
+            ["merge", scene_dir / "masks.pmt", scene_dir / "classprobs.pmt",
+             "--out", tmp_path / "m.pmt", "--solver", "greedy"]
+        )
+        assert code == 2
+        assert "unknown solver 'greedy'" in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["merge", "merge-baseline"])
     def test_nan_mask_is_exit_2(self, scene_dir, tmp_path, capsys, command):
@@ -251,6 +298,28 @@ class TestUpliftRender:
         assert code == 2
         assert "finite and nonnegative" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("extra", [5, -5])
+    def test_field_sized_for_other_splats_is_exit_2(
+        self, scene_dir, tmp_path, capsys, extra
+    ):
+        field = tmp_path / "field.pmt"
+        assert run(
+            ["uplift", scene_dir / "gt.pmt", scene_dir / "splats.psw",
+             "--out", field]
+        ) == 0
+        dist = read_tensor(field)
+        rows = dist.shape[0] + extra
+        resized = np.zeros((rows, dist.shape[1]), dtype=np.float32)
+        resized[: min(rows, dist.shape[0])] = dist[:rows]
+        write_tensor(field, resized)
+        capsys.readouterr()
+        code = run(
+            ["render-labels", field, scene_dir / "splats.psw", scene_dir / "gt.pmt",
+             "--out", tmp_path / "r.pmt"]
+        )
+        assert code == 2
+        assert "splat count" in capsys.readouterr().err
+
 
 class TestFps:
     def test_k_50_on_100_descriptors(self, tmp_path, capsys):
@@ -267,6 +336,12 @@ class TestFps:
         path = tmp_path / "desc.pmt"
         write_tensor(path, np.ones((5, 2), dtype=np.float32))
         assert run(["fps", path, "--k", "10"]) == 2
+
+    def test_unknown_metric_is_exit_2(self, tmp_path, capsys):
+        path = tmp_path / "desc.pmt"
+        write_tensor(path, np.ones((5, 2), dtype=np.float32))
+        assert run(["fps", path, "--k", "2", "--metric", "manhattan"]) == 2
+        assert "unknown metric 'manhattan'" in capsys.readouterr().err
 
 
 class TestSolveQubo:

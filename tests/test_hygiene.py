@@ -35,6 +35,31 @@ def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
 
+def environment_reads(source: str) -> list[str]:
+    """`os.environ` and `os.getenv` uses, also when imported by name."""
+    names = {"environ", "getenv"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in names:
+            found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            found += [a.name for a in node.names if a.name in names]
+    return sorted(found)
+
+
+def test_detects_environment_reads():
+    source = (
+        "import os\nfrom os import getenv\n"
+        "os.environ.get('A'); os.getenv('B'); getenv('C')\n"
+    )
+    assert environment_reads(source) == ["environ", "getenv", "getenv"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_environment_knobs(path):
+    assert environment_reads(path.read_text()) == []
+
+
 def words(text: str) -> Counter:
     return Counter(re.findall(r"\w+", text))
 

@@ -10,7 +10,13 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import panomerge.io as pio
-from panomerge import ClassTable, PanopticMap, SceneSpec, generate_scene
+from panomerge import (
+    ClassTable,
+    PanopticMap,
+    SceneSpec,
+    SplatWeightTable,
+    generate_scene,
+)
 from panomerge.cli import _load_mask_set
 from panomerge.io import (
     FormatError,
@@ -148,6 +154,15 @@ class TestPanopticFile:
         assert present <= {int(k) for k in sidecar["instance_to_class"]}
         assert sidecar["void_id"] == 0
 
+    def test_non_default_void_class_rejected(self, tmp_path):
+        table = ClassTable(("a", "b"), (True, False), void_class=7)
+        pmap = PanopticMap.from_instances(
+            np.array([[[1, 2], [0, 1]]]), {1: 0, 2: 7}, table
+        )
+        with pytest.raises(ValueError, match="default void class"):
+            write_panoptic(tmp_path / "p.pmt", pmap)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_sidecar_is_io_error(self, tmp_path):
         gt, _, _ = generate_scene(SceneSpec(seed=2))
         base = tmp_path / "gt.pmt"
@@ -167,8 +182,6 @@ class TestSplatFile:
         view = rng.integers(0, n, count)
         pix = rng.integers(0, h * w, count)
         keep = np.unique(np.stack([sid, view, pix], 1), axis=0, return_index=True)[1]
-        from panomerge import SplatWeightTable
-
         table = SplatWeightTable(
             g, n, h, w,
             sid[keep], view[keep], pix[keep],
@@ -182,6 +195,30 @@ class TestSplatFile:
         assert np.array_equal(back.weights, table.weights)
         write_splats(tmp_path / "s2.psw", back)
         assert (tmp_path / "s2.psw").read_bytes() == first
+
+    def test_read_peaks_near_what_the_table_holds(self, tmp_path):
+        # one record per (view, pixel) of 8 views of 96 x 96, as on an M scene
+        rng = np.random.default_rng(0)
+        g, n, h, w = 4000, 8, 96, 96
+        flat = np.arange(n * h * w)
+        table = SplatWeightTable(
+            g, n, h, w, rng.integers(0, g, flat.size), flat // (h * w),
+            flat % (h * w), rng.random(flat.size, dtype=np.float32),
+        )
+        path = tmp_path / "s.psw"
+        write_splats(path, table)
+        tracemalloc.start()
+        try:
+            back = read_splats(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        held = sum(
+            a.nbytes for a in (back.splat_ids, back.views, back.pixels, back.weights)
+        )
+        assert peak <= 2.2 * held
+        assert np.array_equal(back.splat_ids, table.splat_ids)
+        assert np.array_equal(back.weights, table.weights)
 
     def test_bad_magic(self, tmp_path):
         path = tmp_path / "bad.psw"

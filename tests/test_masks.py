@@ -221,3 +221,9 @@ class TestPanopticMap:
         table = ClassTable(("chair", "bag", "wall"), (True, True, False))
         with pytest.raises(ValueError):
             PanopticMap.from_instances(np.array([[[1, 2]]]), {1: 0}, table)
+
+    def test_every_unmapped_id_named_ascending(self):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        inst = np.array([[[9, 0, 4], [2, 7, 4]]])
+        with pytest.raises(ValueError, match=r"\[4, 9\] have no class"):
+            PanopticMap.from_instances(inst, {2: 0, 7: 1}, table)

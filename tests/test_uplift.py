@@ -212,6 +212,16 @@ class TestRenderLabels:
         with pytest.raises(ValueError):
             render_labels(field, weights, 5)
 
+    @pytest.mark.parametrize("extra", [5, -5])
+    def test_field_sized_for_other_splats_rejected(self, extra):
+        gt, _, splats = generate_scene(SceneSpec(seed=3))
+        dist = uplift_labels(gt, splats).distributions
+        rows = dist.shape[0] + extra
+        resized = np.zeros((rows, dist.shape[1]))
+        resized[: min(rows, dist.shape[0])] = dist[:rows]
+        with pytest.raises(ValueError, match="splat count"):
+            render_labels(SplatLabelField(resized), splats, 0)
+
     def test_round_trip_on_clean_scene(self):
         gt, proposals, splats = generate_scene(SceneSpec(seed=4))
         merged = merge_qubo(proposals)
