@@ -144,17 +144,10 @@ def cmd_eval_pq(args) -> int:
         if not pairs:
             raise ValueError("no matching scene pairs found")
         reports = [_eval_pair(pred, gt, void_exemption) for pred, gt in pairs]
-        summary = dataset_pq(reports)
-        doc = {
-            "pq": summary.pq,
-            "pq_things": None if np.isnan(summary.pq_things) else summary.pq_things,
-            "pq_stuff": None if np.isnan(summary.pq_stuff) else summary.pq_stuff,
-            "num_scenes": summary.num_scenes,
-            "scenes": [
-                {"scene": s.stem, **r.to_json_dict()}
-                for (s, _), r in zip(pairs, reports)
-            ],
-        }
+        doc = dataset_pq(reports).to_json_dict()
+        doc["scenes"] = [
+            {"scene": s.stem, **r.to_json_dict()} for (s, _), r in zip(pairs, reports)
+        ]
     else:
         report = _eval_pair(args.pred, args.gt, void_exemption)
         doc = report.to_json_dict()
@@ -162,7 +155,7 @@ def cmd_eval_pq(args) -> int:
             doc.pop("per_class")
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out:
-        Path(args.out).write_text(text)
+        pio._write_files({args.out: [text.encode()]})
     else:
         print(text)
     return EXIT_OK
@@ -199,7 +192,7 @@ def cmd_fps(args) -> int:
     selected = fps_select(FrameDescriptors(vectors), **given)
     text = " ".join(str(i) for i in selected)
     if args.out:
-        Path(args.out).write_text(text + "\n")
+        pio._write_files({args.out: [f"{text}\n".encode()]})
     else:
         print(text)
     return EXIT_OK

@@ -45,18 +45,39 @@ class FormatError(Exception):
 JSON_FIELD_ERRORS = (KeyError, TypeError, AttributeError, OverflowError, ValueError)
 
 
-def write_tensor(path, array: np.ndarray) -> None:
+def _write_files(files: dict) -> None:
+    """Write each path in `files` as the concatenation of its bytes-like
+    chunks. Every file is staged as a hidden temp file beside its target and
+    moved into place only after all are written, so a crash while writing
+    never leaves a half-written target."""
+    targets = [Path(p) for p in files]
+    staged = [t.with_name(f".{t.name}.{os.urandom(4).hex()}.tmp") for t in targets]
+    try:
+        for tmp, chunks in zip(staged, files.values()):
+            with open(tmp, "wb") as f:
+                for chunk in chunks:
+                    f.write(chunk)
+        for tmp, target in zip(staged, targets):
+            os.replace(tmp, target)
+    finally:
+        for tmp in staged:
+            tmp.unlink(missing_ok=True)
+
+
+def _tensor_chunks(array: np.ndarray) -> list:
     array = np.asarray(array)
     code = _CODES.get(array.dtype)
     if code is None:
         raise ValueError(f"unsupported tensor dtype {array.dtype}")
     if array.ndim > 255:
         raise ValueError("too many dimensions")
-    with open(path, "wb") as f:
-        f.write(TENSOR_MAGIC)
-        f.write(struct.pack("<BB", code, array.ndim))
-        f.write(struct.pack(f"<{array.ndim}I", *array.shape))
-        f.write(np.ascontiguousarray(array, dtype=_DTYPES[code]).tobytes())
+    dims = struct.pack(f"<BB{array.ndim}I", code, array.ndim, *array.shape)
+    # written through the buffer protocol, so the payload is not copied again
+    return [TENSOR_MAGIC, dims, np.ascontiguousarray(array, dtype=_DTYPES[code])]
+
+
+def write_tensor(path, array: np.ndarray) -> None:
+    _write_files({path: _tensor_chunks(array)})
 
 
 def read_tensor(path, dtype=None) -> np.ndarray:
@@ -111,18 +132,10 @@ def write_panoptic(path, pmap: PanopticMap) -> None:
         },
         "void_id": 0,
     }
-    # Stage both files next to their targets, then move each into place, so
-    # a crash while writing never leaves a half-written tensor or sidecar.
-    targets = (Path(path), _sidecar(path))
-    staged = [t.with_name(f".{t.name}.{os.urandom(4).hex()}.tmp") for t in targets]
-    try:
-        write_tensor(staged[0], inst.astype(np.uint16))
-        staged[1].write_text(json.dumps(sidecar, indent=1, sort_keys=True))
-        for tmp, target in zip(staged, targets):
-            os.replace(tmp, target)
-    finally:
-        for tmp in staged:
-            tmp.unlink(missing_ok=True)
+    _write_files({
+        path: _tensor_chunks(inst.astype(np.uint16)),
+        _sidecar(path): [json.dumps(sidecar, indent=1, sort_keys=True).encode()],
+    })
 
 
 def read_panoptic(path) -> PanopticMap:
@@ -138,12 +151,12 @@ def read_panoptic(path) -> PanopticMap:
         mapping = {int(k): int(v) for k, v in meta["instance_to_class"].items()}
     except JSON_FIELD_ERRORS as exc:
         raise FormatError(f"{_sidecar(path)}: bad sidecar: {exc}") from exc
-    return PanopticMap.from_instances(inst.astype(np.int32), mapping, table)
+    return PanopticMap.from_instances(inst, mapping, table)
 
 
 def write_class_table(path, table: ClassTable) -> None:
     payload = {"names": list(table.names), "is_thing": list(table.is_thing)}
-    Path(path).write_text(json.dumps(payload, indent=1, sort_keys=True))
+    _write_files({path: [json.dumps(payload, indent=1, sort_keys=True).encode()]})
 
 
 def read_class_table(path) -> ClassTable:
@@ -160,14 +173,8 @@ def write_splats(path, table: SplatWeightTable) -> None:
     records["view"] = table.views
     records["pixel"] = table.pixels
     records["weight"] = table.weights
-    with open(path, "wb") as f:
-        f.write(SPLAT_MAGIC)
-        f.write(
-            struct.pack(
-                "<4I", table.num_splats, table.num_views, table.height, table.width
-            )
-        )
-        f.write(records.tobytes())
+    counts = (table.num_splats, table.num_views, table.height, table.width)
+    _write_files({path: [SPLAT_MAGIC, struct.pack("<4I", *counts), records]})
 
 
 def read_splats(path) -> SplatWeightTable:

@@ -1,8 +1,9 @@
 """Core containers for soft multi-view mask proposals and panoptic label maps.
 
 All tensors are dense numpy arrays. Mask proposals are stored as a single
-(m, N, H, W) float array of per-pixel probabilities in [0, 1]; label maps are
-(N, H, W) integer arrays with instance ID 0 reserved for void.
+(m, N, H, W) float array of per-pixel probabilities in [0, 1], from which
+`SoftMaskSet` derives one index of nonzero pixels (`support`); label maps are
+(N, H, W) int32 arrays with instance ID 0 reserved for void.
 """
 
 from __future__ import annotations
@@ -16,8 +17,8 @@ import numpy as np
 VOID_INSTANCE = 0
 DEFAULT_VOID_CLASS = 65535
 # Instance IDs lie in [0, INSTANCE_ID_LIMIT): 0 is void, no ID is negative,
-# and the int32 label maps that merging, io and uplift build hold every ID
-# exactly. Scene PQ keys segments by position, so it does not rely on this.
+# and the int32 array that PanopticMap stores holds every ID exactly. Scene
+# PQ keys segments by position, so it does not rely on this.
 INSTANCE_ID_LIMIT = 1 << 24
 
 
@@ -42,6 +43,23 @@ class ClassTable:
     @property
     def num_classes(self) -> int:
         return len(self.names)
+
+
+def nonzero_rows(
+    a: np.ndarray, nz: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, cols, values) of the entries of 2-D `a` selected by the
+    same-shape bool `nz`: row r's column indices, ascending, and their values
+    are cols[indptr[r]:indptr[r + 1]] and values[indptr[r]:indptr[r + 1]].
+    Built in one pass over the flat array and returned read-only."""
+    rows, ncols = a.shape
+    f = np.flatnonzero(nz)
+    # f ascends, so each row's entries start where its first flat index would
+    indptr = np.searchsorted(f, np.arange(rows + 1) * ncols)
+    index = (indptr, f % ncols, a.ravel()[f])
+    for x in index:
+        x.flags.writeable = False
+    return index
 
 
 class MaskSupport(NamedTuple):
@@ -98,16 +116,11 @@ class SoftMaskSet:
     @cached_property
     def support(self) -> MaskSupport:
         """The nonzero pixels of every proposal, built in one pass on first use."""
-        m, size = self.num_queries, self.values[0].size
-        flat = self.values.reshape(m, -1)
+        flat = self.values.reshape(self.num_queries, -1)
         nz = flat > 0.0
-        f = np.flatnonzero(nz)
-        # f ascends, so each row's entries start where its first flat index would
-        indptr = np.searchsorted(f, np.arange(m + 1) * size)
-        index = MaskSupport(indptr, f % size, flat.ravel()[f], np.packbits(nz, axis=1))
-        for a in index:
-            a.flags.writeable = False
-        return index
+        bits = np.packbits(nz, axis=1)
+        bits.flags.writeable = False
+        return MaskSupport(*nonzero_rows(flat, nz), bits)
 
     @property
     def num_queries(self) -> int:
@@ -131,8 +144,9 @@ class PanopticMap:
     """Per-view instance ID maps with a shared instance->class table.
 
     Instance IDs are consistent across views: the same nonzero ID denotes
-    the same object everywhere. Instance 0 is void. The per-pixel class map
-    is derived on access (`class_ids`), not stored.
+    the same object everywhere. Instance 0 is void. Integer (or bool) ID
+    arrays are stored as int32 once their range is checked. The per-pixel
+    class map is derived on access (`class_ids`), not stored.
     """
 
     instance_ids: np.ndarray
@@ -143,9 +157,12 @@ class PanopticMap:
         inst = np.asarray(self.instance_ids)
         if inst.ndim != 3:
             raise ValueError("instance map must have shape (N, H, W)")
-        ids = np.unique(inst)
-        if ids.size and (ids[0] < 0 or ids[-1] >= INSTANCE_ID_LIMIT):
+        if not (np.issubdtype(inst.dtype, np.integer) or inst.dtype == np.bool_):
+            raise ValueError(f"instance IDs must be integers, not {inst.dtype}")
+        if inst.size and (inst.min() < 0 or inst.max() >= INSTANCE_ID_LIMIT):
             raise ValueError(f"instance IDs must lie in [0, {INSTANCE_ID_LIMIT})")
+        inst = inst.astype(np.int32, copy=False)
+        ids = np.unique(inst)
         to_class = self.instance_to_class
         missing = [i for i in ids.tolist() if i != VOID_INSTANCE and i not in to_class]
         if missing:
@@ -161,7 +178,7 @@ class PanopticMap:
         class_table: ClassTable,
     ) -> "PanopticMap":
         """Build a map from an instance-ID tensor and its instance->class table."""
-        return cls(np.asarray(instance_ids), dict(instance_to_class), class_table)
+        return cls(instance_ids, instance_to_class, class_table)
 
     def unique_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The sorted distinct instance IDs, each pixel's index into them

@@ -101,7 +101,7 @@ def _assemble(
     present = set(np.unique(instance_ids).tolist()) - {0}
     instance_to_class = {i: c for i, c in instance_to_class.items() if i in present}
     return PanopticMap.from_instances(
-        instance_ids.astype(np.int32), instance_to_class, masks.class_table
+        instance_ids, instance_to_class, masks.class_table
     )
 
 

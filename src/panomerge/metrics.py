@@ -53,6 +53,11 @@ class ClassStats:
         return 100.0 * self.iou_sum / denom if denom > 0 else 0.0
 
 
+def _json_number(x: float) -> float | None:
+    """A number for JSON: NaN, the score of an undefined split, is null."""
+    return None if math.isnan(x) else x
+
+
 @dataclass
 class PqReport:
     """Per-class rows plus overall and thing/stuff aggregate scores."""
@@ -87,8 +92,8 @@ class PqReport:
             "pq": self.pq,
             "sq": self.sq,
             "rq": self.rq,
-            "pq_things": None if math.isnan(self.pq_things) else self.pq_things,
-            "pq_stuff": None if math.isnan(self.pq_stuff) else self.pq_stuff,
+            "pq_things": _json_number(self.pq_things),
+            "pq_stuff": _json_number(self.pq_stuff),
             "per_class": rows,
         }
 
@@ -204,6 +209,9 @@ class DatasetSummary:
     pq_things: float
     pq_stuff: float
     num_scenes: int
+
+    def to_json_dict(self) -> dict:
+        return {k: _json_number(v) for k, v in vars(self).items()}
 
 
 def dataset_pq(reports: list[PqReport]) -> DatasetSummary:

@@ -13,25 +13,15 @@ from functools import cached_property
 
 import numpy as np
 
-from .masks import PanopticMap
-
-
-def _read_only_column(values, dtype) -> np.ndarray:
-    col = np.asarray(values, dtype=dtype)
-    # not ravel: its view of a 1-D array would leave the given array writable
-    col = col if col.ndim == 1 else col.flatten()
-    col.flags.writeable = False
-    return col
+from .masks import PanopticMap, nonzero_rows
 
 
 @dataclass(frozen=True)
 class SplatWeightTable:
     """Sparse (splat, view, pixel, weight) records of alpha-blend contributions.
 
-    Pixel indices are flat row-major indices into an H x W view. The four
-    columns are stored read-only, so the derived `view_index` cannot go
-    stale; a 1-D column of the stored dtype is stored as given, not copied,
-    so the caller's array becomes read-only too.
+    Pixel indices are flat row-major indices into an H x W view. No index
+    is cached from the columns, so they stay writable.
     """
 
     num_splats: int
@@ -45,10 +35,10 @@ class SplatWeightTable:
 
     def __post_init__(self):
         sid, view, pix, w = (
-            _read_only_column(self.splat_ids, np.int64),
-            _read_only_column(self.views, np.int64),
-            _read_only_column(self.pixels, np.int64),
-            _read_only_column(self.weights, np.float64),
+            np.asarray(self.splat_ids, dtype=np.int64).ravel(),
+            np.asarray(self.views, dtype=np.int64).ravel(),
+            np.asarray(self.pixels, dtype=np.int64).ravel(),
+            np.asarray(self.weights, dtype=np.float64).ravel(),
         )
         n = sid.shape[0]
         if not (view.shape[0] == pix.shape[0] == w.shape[0] == n):
@@ -82,25 +72,13 @@ class SplatWeightTable:
     def num_records(self) -> int:
         return self.splat_ids.shape[0]
 
-    @cached_property
-    def view_index(self) -> tuple[np.ndarray, np.ndarray]:
-        """(order, sorted_views), built on first use: the records of view v
-        are order[lo:hi], ascending, where [lo, hi) is the run of v in
-        sorted_views = views[order]. Not one offset per view: num_views
-        comes from a u32 file header."""
-        order = np.argsort(self.views, kind="stable")
-        index = (order, self.views[order])
-        for a in index:
-            a.flags.writeable = False
-        return index
-
 
 @dataclass(frozen=True)
 class SplatLabelField:
     """Per-splat label distributions: each row sums to one, or is all-zero
-    for a splat no labeled pixel observed. Stored read-only, so the derived
-    `support` cannot go stale; a float64 array is stored as given, not
-    copied, so the caller's array becomes read-only too."""
+    for a splat no labeled pixel observed. Stored read-only, as every array
+    a cached index is built from is, so `support` cannot go stale; a float64
+    array is stored as given, so the caller's array becomes read-only too."""
 
     distributions: np.ndarray  # (G, L + 1), column 0 = void
 
@@ -122,12 +100,8 @@ class SplatLabelField:
         """(indptr, labels, values), built on first use: splat g's nonzero
         labels, ascending, and their masses are labels[indptr[g]:indptr[g + 1]]
         and values[indptr[g]:indptr[g + 1]]."""
-        splat, label = np.nonzero(self.distributions)
-        indptr = np.searchsorted(splat, np.arange(self.distributions.shape[0] + 1))
-        index = (indptr, label, self.distributions[splat, label])
-        for a in index:
-            a.flags.writeable = False
-        return index
+        # validated nonnegative, so > 0 selects exactly the nonzero entries
+        return nonzero_rows(self.distributions, self.distributions > 0.0)
 
     @property
     def observed(self) -> np.ndarray:
@@ -152,8 +126,7 @@ def uplift_labels(labels: PanopticMap, weights: SplatWeightTable) -> SplatLabelF
     if labels.instance_to_class:
         num_labels = max(num_labels, max(labels.instance_to_class))
     flat = labels.instance_ids.reshape(labels.num_views, -1)
-    # IDs lie below 2^24; intp keeps the bincount keys integer for any ID dtype
-    record_labels = flat[weights.views, weights.pixels].astype(np.intp)
+    record_labels = flat[weights.views, weights.pixels]
 
     # bincount adds in record order, as np.add.at would; with no records
     # it returns integer zeros
@@ -166,7 +139,6 @@ def uplift_labels(labels: PanopticMap, weights: SplatWeightTable) -> SplatLabelF
     totals = dist.sum(axis=1)
     observed = totals > 0.0
     dist[observed] /= totals[observed, None]
-    dist[~observed] = 0.0
     return SplatLabelField(dist)
 
 
@@ -186,9 +158,7 @@ def render_labels(
         raise ValueError(f"unknown view {view}")
     if field.distributions.shape[0] != weights.num_splats:
         raise ValueError("label field and weight table disagree on the splat count")
-    order, sorted_views = weights.view_index
-    lo, hi = np.searchsorted(sorted_views, (view, view + 1))
-    records = order[lo:hi]
+    records = np.flatnonzero(weights.views == view)
     indptr, labels, values = field.support
     splats = weights.splat_ids[records]
     first = indptr[splats]

@@ -103,3 +103,56 @@ def test_detects_dead_definition():
 def test_no_dead_definitions():
     sources = [p.read_text() for p in sorted(SRC.glob("*.py"))]
     assert dead_definitions(sources, panomerge.__all__) == []
+
+
+def unlocked_caches(source: str) -> list[str]:
+    """Classes that define a functools.cached_property but whose __post_init__
+    sets no `flags.writeable = False`: a cached index over arrays the caller
+    can still write would go stale."""
+    found = []
+    for cls in ast.walk(ast.parse(source)):
+        if not isinstance(cls, ast.ClassDef):
+            continue
+        methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
+        caches = any(
+            ast.unparse(d).split(".")[-1] == "cached_property"
+            for n in methods
+            for d in n.decorator_list
+        )
+        locks = any(
+            isinstance(a, ast.Assign)
+            and any(ast.unparse(t).endswith("flags.writeable") for t in a.targets)
+            and isinstance(a.value, ast.Constant)
+            and a.value.value is False
+            for n in methods
+            if n.name == "__post_init__"
+            for a in ast.walk(n)
+        )
+        if caches and not locks:
+            found.append(cls.name)
+    return found
+
+
+def test_detects_unlocked_cache():
+    source = (
+        "import functools\nfrom functools import cached_property\n"
+        "class Locked:\n"
+        "    def __post_init__(self):\n"
+        "        self.values.flags.writeable = False\n"
+        "    @cached_property\n"
+        "    def index(self): pass\n"
+        "class Unlocked:\n"
+        "    def __post_init__(self):\n"
+        "        self.values.flags.writeable = True\n"
+        "    @functools.cached_property\n"
+        "    def index(self): pass\n"
+        "class Uncached:\n"
+        "    @property\n"
+        "    def index(self): pass\n"
+    )
+    assert unlocked_caches(source) == ["Unlocked"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_cached_indices_have_locked_arrays(path):
+    assert unlocked_caches(path.read_text()) == []

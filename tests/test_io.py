@@ -17,12 +17,13 @@ from panomerge import (
     SplatWeightTable,
     generate_scene,
 )
-from panomerge.cli import _load_mask_set
+from panomerge.cli import _load_mask_set, build_parser
 from panomerge.io import (
     FormatError,
     read_panoptic,
     read_splats,
     read_tensor,
+    write_class_table,
     write_panoptic,
     write_splats,
     write_tensor,
@@ -235,33 +236,74 @@ class TestSplatFile:
             read_splats(path)
 
 
+def small_map(fill):
+    table = ClassTable(("chair", "wall"), (True, False))
+    return PanopticMap.from_instances(
+        np.full((2, 3, 4), fill, dtype=np.int32), {fill: 0}, table
+    )
+
+
+def run_command(*argv):
+    """Run one CLI command without main's exit-code mapping, so errors raise."""
+    args = build_parser().parse_args([str(a) for a in argv])
+    return args.func(args)
+
+
+# Each writes version n (1 or 2) of its files into `out`, reading from `inp`.
+WRITERS = {
+    "write_tensor": lambda inp, out, n: write_tensor(
+        out / "t.pmt", np.full((2, 3), n, dtype=np.float32)
+    ),
+    "write_splats": lambda inp, out, n: write_splats(
+        out / "s.psw", SplatWeightTable(2, 1, 1, 2, [n - 1], [0], [1], [0.5])
+    ),
+    "write_class_table": lambda inp, out, n: write_class_table(
+        out / "c.json", ClassTable((f"class{n}",), (True,))
+    ),
+    "write_panoptic": lambda inp, out, n: write_panoptic(
+        out / "map.pmt", small_map(n)
+    ),
+    "eval_pq_out": lambda inp, out, n: run_command(
+        "eval-pq", inp / "pred.pmt", inp / "gt.pmt", "--out", out / "pq.json",
+        *(["--per-class"] if n == 2 else []),
+    ),
+    "fps_out": lambda inp, out, n: run_command(
+        "fps", inp / "desc.pmt", "--k", n, "--out", out / "fps.txt"
+    ),
+}
+
+
 class TestCrashSafeWrite:
-    def small_map(self, fill):
-        table = ClassTable(("chair", "wall"), (True, False))
-        return PanopticMap.from_instances(
-            np.full((2, 3, 4), fill, dtype=np.int32), {fill: 0}, table
-        )
-
+    @pytest.mark.parametrize("writer", WRITERS)
     def test_failed_write_keeps_old_pair_and_leaves_no_temp(
-        self, tmp_path, monkeypatch
+        self, tmp_path, monkeypatch, writer
     ):
-        base = tmp_path / "map.pmt"
-        write_panoptic(base, self.small_map(1))
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+        inp, out = tmp_path / "in", tmp_path / "out"
+        inp.mkdir()
+        out.mkdir()
+        write_panoptic(inp / "pred.pmt", small_map(1))
+        write_panoptic(inp / "gt.pmt", small_map(2))
+        write_tensor(inp / "desc.pmt", np.eye(4, dtype=np.float32))
+        WRITERS[writer](inp, out, 1)
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
 
-        def half_written(path, array):
-            Path(path).write_bytes(b"PMT1")
+        def half_written(path, mode="r", *args, **kwargs):
+            if "w" not in mode:
+                return open(path, mode, *args, **kwargs)
+            with open(path, mode) as f:
+                f.write(b"PMT1")
             raise OSError("disk full")
 
-        monkeypatch.setattr(pio, "write_tensor", half_written)
-        with pytest.raises(OSError):
-            write_panoptic(base, self.small_map(2))
-        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+        # shadows the builtin for the io module, where every file is written
+        monkeypatch.setattr(pio, "open", half_written, raising=False)
+        with pytest.raises(OSError, match="disk full"):
+            WRITERS[writer](inp, out, 2)
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
     def test_overwrite_leaves_only_the_pair(self, tmp_path):
         base = tmp_path / "map.pmt"
-        write_panoptic(base, self.small_map(1))
-        write_panoptic(base, self.small_map(2))
+        write_panoptic(base, small_map(1))
+        write_panoptic(base, small_map(2))
         assert sorted(p.name for p in tmp_path.iterdir()) == ["map.json", "map.pmt"]
         assert read_panoptic(base).instance_to_class == {2: 0}
 

@@ -227,3 +227,16 @@ class TestPanopticMap:
         inst = np.array([[[9, 0, 4], [2, 7, 4]]])
         with pytest.raises(ValueError, match=r"\[4, 9\] have no class"):
             PanopticMap.from_instances(inst, {2: 0, 7: 1}, table)
+
+    def test_float_ids_rejected(self):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        with pytest.raises(ValueError, match="integers"):
+            PanopticMap(np.array([[[0.0, 1.5]]]), {1.5: 0}, table)
+
+    @pytest.mark.parametrize("dtype", [np.uint16, np.uint64, np.int64])
+    def test_integer_ids_stored_as_int32(self, dtype):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        inst = np.array([[[0, 3], [70, 65535]]], dtype=dtype)
+        pmap = PanopticMap(inst, {3: 0, 70: 1, 65535: 2}, table)
+        assert pmap.instance_ids.dtype == np.int32
+        np.testing.assert_array_equal(pmap.instance_ids, inst)

@@ -217,6 +217,16 @@ class TestSerialization:
             "tp", "fp", "fn", "pq", "sq", "rq",
         }
 
+    def test_undefined_split_is_null_in_both_reports(self, table):
+        # a thing-only scene leaves the stuff split undefined (NaN)
+        gt = pmap(np.ones((1, 2, 2), dtype=int), {1: 0}, table)
+        report = scene_pq(gt, gt, table)
+        for doc in (report.to_json_dict(), dataset_pq([report]).to_json_dict()):
+            assert doc["pq_stuff"] is None and doc["pq_things"] == 100.0
+        assert dataset_pq([report]).to_json_dict() == {
+            "pq": 100.0, "pq_things": 100.0, "pq_stuff": None, "num_scenes": 1,
+        }
+
 
 # Reference: scene PQ as it was computed before the segment table, from
 # per-pixel class * INSTANCE_ID_LIMIT + instance codes and dicts keyed by them.
