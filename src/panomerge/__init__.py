@@ -16,7 +16,6 @@ from .qubo import (
     Assignment,
     QuboInstance,
     build_qubo,
-    flip_delta,
     objective,
     solve_anneal,
     solve_exact,
@@ -41,7 +40,6 @@ __all__ = [
     "SplatWeightTable",
     "build_qubo",
     "dataset_pq",
-    "flip_delta",
     "fps_select",
     "generate_scene",
     "iou",

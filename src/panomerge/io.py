@@ -119,6 +119,8 @@ def _sidecar(path) -> Path:
 
 
 def write_panoptic(path, pmap: PanopticMap) -> None:
+    if _sidecar(path) == Path(path):
+        raise ValueError(f"{path}: a *.json target would be overwritten by its sidecar")
     inst = pmap.instance_ids
     if inst.max(initial=0) > np.iinfo(np.uint16).max:
         raise ValueError("instance IDs exceed u16 range")

@@ -17,6 +17,7 @@ from .masks import PanopticMap, SoftMaskSet
 from .qubo import (
     DEFAULT_PENALTY,
     AnnealConfig,
+    QuboInstance,
     build_qubo,
     solve_anneal,
     solve_exact,
@@ -92,17 +93,16 @@ def _scatter_argmax(
 
 
 def _assemble(
-    masks: SoftMaskSet, instance_ids: np.ndarray, queries: list[int]
+    masks: SoftMaskSet, labeled: np.ndarray, winner: np.ndarray, queries: np.ndarray
 ) -> PanopticMap:
-    """Map instance k (1-based over `queries`) to the argmax class of its query."""
-    instance_to_class = {
-        k + 1: int(np.argmax(masks.class_probs[q])) for k, q in enumerate(queries)
-    }
-    present = set(np.unique(instance_ids).tolist()) - {0}
-    instance_to_class = {i: c for i, c in instance_to_class.items() if i in present}
-    return PanopticMap.from_instances(
-        instance_ids, instance_to_class, masks.class_table
-    )
+    """Label each `labeled` pixel with instance winner + 1, where instance k + 1
+    is query queries[k] and takes the argmax class of its row. Only instances
+    that label a pixel get a class."""
+    instance_ids = np.where(labeled, winner + 1, 0).reshape(masks.values.shape[1:])
+    won = np.bincount(winner[labeled], minlength=queries.size)
+    classes = masks.class_probs[queries].argmax(axis=1)
+    to_class = {k + 1: int(classes[k]) for k in np.flatnonzero(won).tolist()}
+    return PanopticMap.from_instances(instance_ids, to_class, masks.class_table)
 
 
 def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMap:
@@ -112,39 +112,32 @@ def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMa
     Pixels whose winning soft value falls below the void threshold stay void.
     Selected queries become instance IDs 1..k in ascending query order, shared
     across all views.
+
+    The QUBO is always built over the whole set. With a confidence prefilter
+    the solver sees only the kept rows and columns of it, which equal the
+    QUBO of the kept queries alone bit for bit; dropped queries still cost
+    their overlaps in the build.
     """
     cfg = cfg or MergeConfig()
+    instance = build_qubo(masks, cfg.penalty)
     keep = np.arange(masks.num_queries)
     if cfg.confidence_prefilter is not None:
-        conf = masks.class_probs.max(axis=1)
-        keep = keep[conf >= cfg.confidence_prefilter]
-        if keep.size == 0:
-            warnings.warn("confidence prefilter removed every query; output is void")
-            return _empty_map(masks)
-
-    if keep.size == masks.num_queries:
-        sub = masks
-    else:
-        sub = SoftMaskSet(
-            masks.values[keep], masks.class_probs[keep], masks.class_table
+        keep = np.flatnonzero(masks.class_probs.max(axis=1) >= cfg.confidence_prefilter)
+        instance = QuboInstance(
+            instance.linear[keep], instance.quadratic[np.ix_(keep, keep)], cfg.penalty
         )
-    instance = build_qubo(sub, cfg.penalty)
     if cfg.solver == "exact":
         assignment = solve_exact(instance)
     else:
         assignment = solve_anneal(instance, cfg.anneal)
-    chosen = assignment.selected()
+    chosen = keep[assignment.selected()]
     if chosen.size == 0:
-        warnings.warn("QUBO selected no proposals; output is void")
+        warnings.warn("no proposal was kept and selected; output is void")
         return _empty_map(masks)
 
-    # rows of sub, so the build's support index serves the assembly too;
     # a weight of 1.0 leaves every value exactly as it is
-    win_val, winner = _scatter_argmax(sub, chosen, np.ones(chosen.size))
-    instance_ids = np.where(win_val >= cfg.void_threshold, winner + 1, 0)
-    return _assemble(
-        masks, instance_ids.reshape(masks.values.shape[1:]), keep[chosen].tolist()
-    )
+    win_val, winner = _scatter_argmax(masks, chosen, np.ones(chosen.size))
+    return _assemble(masks, win_val >= cfg.void_threshold, winner, chosen)
 
 
 def merge_baseline(
@@ -188,6 +181,4 @@ def merge_baseline(
     support = np.bincount(votes, minlength=area.size).reshape(area.shape)
     drop = support < cfg.vote_support_threshold * area
     labeled &= ~drop[views, winner]
-
-    instance_ids = np.where(labeled, winner + 1, 0)
-    return _assemble(masks, instance_ids.reshape(masks.values.shape[1:]), keep.tolist())
+    return _assemble(masks, labeled, winner, keep)

@@ -127,15 +127,6 @@ def objective(q: QuboInstance, u: np.ndarray) -> float:
     return float(u @ q.linear) - q.penalty * pair
 
 
-def flip_delta(q: QuboInstance, u: np.ndarray, i: int) -> float:
-    """Objective change from flipping bit i, computed in O(m)."""
-    u = np.asarray(u, dtype=np.float64).ravel()
-    if not 0 <= i < q.num_vars:
-        raise IndexError(f"bit {i} out of range for m={q.num_vars}")
-    sign = 1.0 - 2.0 * u[i]
-    return float(sign * (q.linear[i] - q.penalty * (q.quadratic[i] @ u)))
-
-
 def solve_exact(q: QuboInstance) -> Assignment:
     """Enumerate all 2^m assignments and return the best one.
 

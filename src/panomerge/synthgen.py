@@ -175,23 +175,18 @@ def _class_row(
 def _splat_table(spec: SceneSpec, windows: list[tuple[int, int]]) -> SplatWeightTable:
     """One splat per world-canvas pixel, contributing unit weight to the pixel
     of every view that sees it."""
-    ws = spec.world_size
-    sid_chunks, view_chunks, pix_chunks = [], [], []
-    local = np.arange(spec.height * spec.width)
-    li, lj = np.divmod(local, spec.width)
-    for v, (r, c) in enumerate(windows):
-        sid_chunks.append((r + li) * ws + (c + lj))
-        view_chunks.append(np.full(local.shape, v))
-        pix_chunks.append(local)
+    ws, n, hw = spec.world_size, spec.num_views, spec.height * spec.width
+    li, lj = np.divmod(np.arange(hw), spec.width)
+    rows, cols = np.array(windows).T[:, :, None]  # each (N, 1)
     return SplatWeightTable(
         num_splats=ws * ws,
-        num_views=spec.num_views,
+        num_views=n,
         height=spec.height,
         width=spec.width,
-        splat_ids=np.concatenate(sid_chunks),
-        views=np.concatenate(view_chunks),
-        pixels=np.concatenate(pix_chunks),
-        weights=np.ones(spec.num_views * spec.height * spec.width),
+        splat_ids=((rows + li) * ws + (cols + lj)).ravel(),
+        views=np.repeat(np.arange(n), hw),
+        pixels=np.tile(np.arange(hw), n),
+        weights=np.ones(n * hw),
     )
 
 

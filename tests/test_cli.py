@@ -11,7 +11,7 @@ from panomerge.cli import main
 from panomerge.io import read_panoptic, read_tensor, write_panoptic, write_tensor
 from panomerge.keyframe import FrameDescriptors, fps_select
 from panomerge.masks import PanopticMap
-from panomerge.merging import BaselineConfig, MergeConfig
+from panomerge.merging import BaselineConfig, MergeConfig, merge_qubo
 from panomerge.synthgen import SceneSpec
 
 
@@ -101,6 +101,41 @@ class TestSynthAndMerge:
              "--out", tmp_path / "x.pmt", "--lambda-p", "1.0"]
         )
         assert code == 2
+
+    def test_prefilter_matches_library(self, tmp_path):
+        scene = tmp_path / "scene"
+        assert run(["synth", "--out", scene, "--seed", "5", "--class-noise", "1"]) == 0
+        masks = cli._load_mask_set(scene / "masks.pmt", scene / "classprobs.pmt")
+        conf = np.sort(masks.class_probs.max(axis=1))
+        t = float(conf[conf.size // 2])
+        assert conf[0] < t  # some queries are dropped
+        write_panoptic(
+            tmp_path / "lib.pmt", merge_qubo(masks, MergeConfig(confidence_prefilter=t))
+        )
+        code = run(
+            ["merge", scene / "masks.pmt", scene / "classprobs.pmt",
+             "--out", tmp_path / "cli.pmt", "--prefilter", repr(t)]
+        )
+        assert code == 0
+        for suffix in (".pmt", ".json"):
+            lib, out = (tmp_path / f"{n}{suffix}" for n in ("lib", "cli"))
+            assert out.read_bytes() == lib.read_bytes()
+
+    def test_prefilter_above_one_is_exit_2(self, scene_dir, tmp_path, capsys):
+        code = run(
+            ["merge", scene_dir / "masks.pmt", scene_dir / "classprobs.pmt",
+             "--out", tmp_path / "m.pmt", "--prefilter", "1.5"]
+        )
+        assert code == 2
+        assert "confidence_prefilter" in capsys.readouterr().err
+
+    def test_json_out_is_exit_2_and_writes_nothing(self, scene_dir, tmp_path):
+        code = run(
+            ["merge", scene_dir / "masks.pmt", scene_dir / "classprobs.pmt",
+             "--out", tmp_path / "x.json"]
+        )
+        assert code == 2
+        assert not (tmp_path / "x.json").exists()
 
     def test_exact_solver_guard(self, tmp_path, capsys):
         out = tmp_path / "big"

@@ -156,3 +156,40 @@ def test_detects_unlocked_cache():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_cached_indices_have_locked_arrays(path):
     assert unlocked_caches(path.read_text()) == []
+
+
+# Mask sets are validated where masks enter the program, and nowhere else.
+MASK_SET_ENTRIES = {("cli.py", "_load_mask_set"), ("synthgen.py", "generate_scene")}
+
+
+def mask_set_constructions(source: str) -> list[str]:
+    """Names of the top-level functions that call `SoftMaskSet(`, with
+    "<module>" for a call outside any function."""
+    found = []
+    for node in ast.parse(source).body:
+        name = getattr(node, "name", "<module>")
+        for call in ast.walk(node):
+            if isinstance(call, ast.Call):
+                if ast.unparse(call.func).split(".")[-1] == "SoftMaskSet":
+                    found.append(name)
+    return found
+
+
+def test_detects_mask_set_construction():
+    source = (
+        "from panomerge import masks\n"
+        "def load(v, p, t):\n"
+        "    return SoftMaskSet(v, p, t)\n"
+        "def sub(s):\n"
+        "    return masks.SoftMaskSet(s.values[:1], s.class_probs[:1], s.class_table)\n"
+        "def typed(s: SoftMaskSet) -> SoftMaskSet:\n"
+        "    return s\n"
+        "DEFAULT = SoftMaskSet(v, p, t)\n"
+    )
+    assert mask_set_constructions(source) == ["load", "sub", "<module>"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_mask_sets_built_only_at_entry_points(path):
+    built = mask_set_constructions(path.read_text())
+    assert {(path.name, n) for n in built} <= MASK_SET_ENTRIES

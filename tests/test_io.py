@@ -164,6 +164,13 @@ class TestPanopticFile:
             write_panoptic(tmp_path / "p.pmt", pmap)
         assert list(tmp_path.iterdir()) == []
 
+    def test_json_target_rejected_before_writing(self, tmp_path):
+        table = ClassTable(("a",), (True,))
+        pmap = PanopticMap.from_instances(np.array([[[1, 0]]]), {1: 0}, table)
+        with pytest.raises(ValueError, match="sidecar"):
+            write_panoptic(tmp_path / "p.json", pmap)
+        assert list(tmp_path.iterdir()) == []
+
     def test_missing_sidecar_is_io_error(self, tmp_path):
         gt, _, _ = generate_scene(SceneSpec(seed=2))
         base = tmp_path / "gt.pmt"

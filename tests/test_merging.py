@@ -1,4 +1,5 @@
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -17,8 +18,9 @@ from panomerge import (
     merge_qubo,
     scene_pq,
 )
+from panomerge import merging
 from panomerge.masks import PanopticMap, SoftMaskSet
-from panomerge.qubo import QuboInstance, solve_anneal, solve_exact
+from panomerge.qubo import QuboInstance, build_qubo, solve_anneal, solve_exact
 
 from conftest import make_mask_set
 
@@ -76,6 +78,38 @@ def dense_merge_qubo(masks, cfg):
     return dense_assemble(masks, instance_ids, selected.tolist())
 
 
+# The QUBO merge as it was when the prefilter copied the kept queries into a
+# second mask set and built that set's QUBO; its assembly is dense_assemble's.
+
+
+def ref_merge_qubo(masks, cfg):
+    keep = np.arange(masks.num_queries)
+    if cfg.confidence_prefilter is not None:
+        conf = masks.class_probs.max(axis=1)
+        keep = keep[conf >= cfg.confidence_prefilter]
+        if keep.size == 0:
+            return dense_empty(masks)
+    if keep.size == masks.num_queries:
+        sub = masks
+    else:
+        sub = SoftMaskSet(
+            masks.values[keep], masks.class_probs[keep], masks.class_table
+        )
+    instance = build_qubo(sub, cfg.penalty)
+    if cfg.solver == "exact":
+        assignment = solve_exact(instance)
+    else:
+        assignment = solve_anneal(instance, cfg.anneal)
+    chosen = assignment.selected()
+    if chosen.size == 0:
+        return dense_empty(masks)
+    win_val, winner = merging._scatter_argmax(sub, chosen, np.ones(chosen.size))
+    instance_ids = np.where(win_val >= cfg.void_threshold, winner + 1, 0)
+    return dense_assemble(
+        masks, instance_ids.reshape(masks.values.shape[1:]), keep[chosen].tolist()
+    )
+
+
 def dense_merge_baseline(masks, cfg):
     conf = masks.class_probs.max(axis=1)
     keep = np.flatnonzero(conf >= cfg.confidence_threshold)
@@ -107,6 +141,22 @@ def quantized_mask_sets(draw):
     values = draw(arrays(np.float64, (m, *shape), elements=grid, fill=st.just(0.0)))
     probs = draw(arrays(np.float64, (m, 3), elements=st.sampled_from([0.0, 0.5, 1.0])))
     return make_mask_set(values, class_probs=probs)
+
+
+@st.composite
+def float_masks_with_keep(draw, min_kept):
+    """Unquantized float masks (m 1-8), so overlap sums round differently in
+    different summation orders, and the ascending queries a 0.5 confidence
+    prefilter keeps: at least `min_kept` of them, up to all m."""
+    m = draw(st.integers(max(1, min_kept), 8))
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 6), st.integers(1, 6)))
+    element = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    values = draw(arrays(np.float64, (m, *shape), elements=element, fill=st.nothing()))
+    kept = draw(st.permutations(range(m)))[: draw(st.integers(min_kept, m))]
+    keep = np.array(sorted(kept), dtype=np.intp)
+    probs = draw(arrays(np.float64, (m, 3), elements=st.floats(0.0, 0.49)))
+    probs[keep] += 0.5
+    return make_mask_set(values, class_probs=probs), keep
 
 
 def assert_same_map(a, b):
@@ -205,6 +255,49 @@ class TestMergeQubo:
             warnings.simplefilter("ignore")
             result = merge_qubo(masks, cfg)
         assert_same_map(result, dense_merge_qubo(masks, cfg))
+
+
+class TestPrefilter:
+    @settings(max_examples=200, deadline=None)
+    @given(float_masks_with_keep(min_kept=1))
+    def test_kept_rows_of_whole_qubo_equal_kept_set_qubo(self, case):
+        masks, keep = case
+        values, probs = masks.values[keep], masks.class_probs[keep]
+        alone = build_qubo(SoftMaskSet(values, probs, masks.class_table))
+        whole = build_qubo(masks)
+        assert np.array_equal(alone.linear, whole.linear[keep])
+        assert np.array_equal(alone.quadratic, whole.quadratic[np.ix_(keep, keep)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        float_masks_with_keep(min_kept=0),
+        st.sampled_from([0.0, 0.3, 0.7]),
+        st.sampled_from(["exact", "anneal"]),
+    )
+    def test_matches_kept_set_reference(self, case, void_threshold, solver):
+        masks, keep = case
+        cfg = MergeConfig(
+            void_threshold=void_threshold,
+            confidence_prefilter=0.5,
+            solver=solver,
+            anneal=AnnealConfig(sweeps=20, restarts=2),
+        )
+        name = f"solve_{solver}"
+        with (
+            mock.patch.object(merging, name, wraps=getattr(merging, name)) as spy,
+            warnings.catch_warnings(),
+        ):
+            warnings.simplefilter("ignore")
+            result = merge_qubo(masks, cfg)
+        assert_same_map(result, ref_merge_qubo(masks, cfg))
+        # the solver saw the kept set's own QUBO, rounding included
+        solved = spy.call_args.args[0]
+        assert solved.num_vars == keep.size
+        if keep.size:
+            values, probs = masks.values[keep], masks.class_probs[keep]
+            alone = build_qubo(SoftMaskSet(values, probs, masks.class_table))
+            assert np.array_equal(solved.linear, alone.linear)
+            assert np.array_equal(solved.quadratic, alone.quadratic)
 
 
 class TestMergeBaseline:
