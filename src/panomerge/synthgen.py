@@ -11,6 +11,7 @@ layout so label uplifting is exactly invertible on clean scenes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -29,8 +30,10 @@ class CorruptionSpec:
                        near-identical proposals instead of one.
     fragment_rate:     probability an instance is split into two partial
                        proposals along its bounding box.
-    boundary_noise_px: max per-view integer shift applied to each proposal.
-    softness:          gaussian blur sigma turning binary masks soft.
+    boundary_noise_px: max per-view integer shift applied to each proposal;
+                       the shift wraps around the view edge (np.roll).
+    softness:          sigma of the gaussian blur turning binary masks soft,
+                       in reflect mode, truncated at int(4 * sigma + 0.5) px.
     class_noise:       noise scale on class logits.
     view_gain_noise:   per-(proposal, view) confidence attenuation range;
                        makes the per-pixel vote winner flip between views.
@@ -50,8 +53,14 @@ class CorruptionSpec:
                 raise ValueError("rates must lie in [0, 1]")
         if not 0.0 <= self.view_gain_noise < 1.0:
             raise ValueError("view_gain_noise must lie in [0, 1)")
-        if self.softness < 0.0 or self.boundary_noise_px < 0:
-            raise ValueError("softness and boundary noise must be nonnegative")
+        # written so that NaN and infinity fail it too
+        for knob in (self.softness, self.class_noise):
+            if not 0.0 <= knob < math.inf:
+                raise ValueError(
+                    "softness and class_noise must be finite and nonnegative"
+                )
+        if self.boundary_noise_px < 0:
+            raise ValueError("boundary noise must be nonnegative")
         if self.duplicate_count < 2:
             raise ValueError("duplicate_count must be >= 2")
 
@@ -70,6 +79,8 @@ class SceneSpec:
     def __post_init__(self):
         if self.num_views < 1:
             raise ValueError("need at least one view")
+        if self.num_things < 0:
+            raise ValueError("num_things must be nonnegative")
         if self.num_stuff < 1:
             raise ValueError("need at least one stuff class")
         if self.height > self.world_size or self.width > self.world_size:
@@ -140,25 +151,41 @@ def _corrupt_views(
     windows: list[tuple[int, int]],
     spec: SceneSpec,
     rng: np.random.Generator,
-) -> np.ndarray:
+) -> list[tuple[int, slice, slice, np.ndarray]]:
+    """One proposal's corrupted views as (view, rows, cols, patch): the view's
+    values are `patch` at [rows, cols] and 0.0 elsewhere. A view whose shifted
+    crop is empty has no patch."""
     # imported here so that only scene generation pays for scipy.ndimage
     from scipy import ndimage
 
     cor = spec.corruption
-    out = np.zeros((spec.num_views, spec.height, spec.width))
+    h, w = spec.height, spec.width
+    pad = int(4 * cor.softness + 0.5)  # gaussian_filter's radius at truncate=4.0
+    patches = []
     for v, (r, c) in enumerate(windows):
-        crop = source[r : r + spec.height, c : c + spec.width].astype(np.float64)
+        crop = source[r : r + h, c : c + w]
         if cor.boundary_noise_px > 0:
             dy, dx = rng.integers(
                 -cor.boundary_noise_px, cor.boundary_noise_px + 1, size=2
             )
             crop = np.roll(crop, (int(dy), int(dx)), axis=(0, 1))
-        if cor.softness > 0.0:
-            crop = np.clip(ndimage.gaussian_filter(crop, sigma=cor.softness), 0.0, 1.0)
+        gain = 1.0
         if cor.view_gain_noise > 0.0:
-            crop = crop * (1.0 - rng.random() * cor.view_gain_noise)
-        out[v] = crop
-    return out
+            gain = 1.0 - rng.random() * cor.view_gain_noise
+        rows = np.flatnonzero(crop.any(axis=1))
+        if rows.size == 0:
+            continue
+        cols = np.flatnonzero(crop.any(axis=0))
+        # Exact: the blur is +0.0 beyond the radius, and where the padded box
+        # ends inside the view, reflect mode reads only its zero padding.
+        ys = slice(max(rows[0] - pad, 0), min(rows[-1] + 1 + pad, h))
+        xs = slice(max(cols[0] - pad, 0), min(cols[-1] + 1 + pad, w))
+        patch = crop[ys, xs].astype(np.float64)
+        if cor.softness > 0.0:
+            patch = ndimage.gaussian_filter(patch, sigma=cor.softness)
+            patch = np.clip(patch, 0.0, 1.0)
+        patches.append((v, ys, xs, patch * gain))
+    return patches
 
 
 def _class_row(
@@ -217,7 +244,7 @@ def generate_scene(
     )
 
     cor = spec.corruption
-    mask_stack, prob_rows = [], []
+    views, prob_rows = [], []
     for iid in sorted(inst_class):
         wm = world == iid
         if not wm.any():
@@ -229,10 +256,15 @@ def generate_scene(
         else:
             sources = [wm]
         for source in sources:
-            mask_stack.append(_corrupt_views(source, windows, spec, rng))
+            views.append(_corrupt_views(source, windows, spec, rng))
             prob_rows.append(
                 _class_row(inst_class[iid], table.num_classes, cor.class_noise, rng)
             )
 
-    proposals = SoftMaskSet(np.stack(mask_stack), np.stack(prob_rows), table)
+    # SoftMaskSet stores this float64 array as given, so it is the only copy
+    values = np.zeros((len(views), spec.num_views, spec.height, spec.width))
+    for out, patches in zip(values, views):
+        for v, ys, xs, patch in patches:
+            out[v, ys, xs] = patch
+    proposals = SoftMaskSet(values, np.stack(prob_rows), table)
     return gt, proposals, _splat_table(spec, windows)

@@ -87,6 +87,21 @@ class TestSynthAndMerge:
         report = json.loads(out.read_text())
         assert report["pq"] == 100.0
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--softness", "inf"],
+            ["--softness", "nan"],
+            ["--class-noise", "nan"],
+            ["--things", "-1"],
+        ],
+    )
+    def test_bad_spec_is_exit_2_and_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "scene"
+        assert run(["synth", "--out", out, *flags]) == 2
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_merge_baseline_roundtrip(self, scene_dir, tmp_path):
         merged = tmp_path / "b.pmt"
         assert run(
