@@ -16,9 +16,10 @@ import numpy as np
 
 VOID_INSTANCE = 0
 DEFAULT_VOID_CLASS = 65535
-# Instance IDs lie in [0, INSTANCE_ID_LIMIT): 0 is void, no ID is negative,
-# and the int32 array that PanopticMap stores holds every ID exactly. Scene
-# PQ keys segments by position, so it does not rely on this.
+# Instance IDs, in the map and as instance_to_class keys, lie in
+# [0, INSTANCE_ID_LIMIT): 0 is void, no ID is negative, and the int32 array
+# that PanopticMap stores holds every ID exactly. Scene PQ's pair keys rely
+# only on IDs being nonnegative int32, not on this limit.
 INSTANCE_ID_LIMIT = 1 << 24
 
 
@@ -145,8 +146,9 @@ class PanopticMap:
 
     Instance IDs are consistent across views: the same nonzero ID denotes
     the same object everywhere. Instance 0 is void. Integer (or bool) ID
-    arrays are stored as int32 once their range is checked. The per-pixel
-    class map is derived on access (`class_ids`), not stored.
+    arrays are stored as int32 once their range is checked; the keys of
+    `instance_to_class` must lie in the same range. No per-pixel class map
+    is stored: a pixel's class is `instance_to_class[instance ID]`.
     """
 
     instance_ids: np.ndarray
@@ -164,6 +166,9 @@ class PanopticMap:
         inst = inst.astype(np.int32, copy=False)
         ids = np.unique(inst)
         to_class = self.instance_to_class
+        outside = [i for i in to_class if not 0 <= i < INSTANCE_ID_LIMIT]
+        if outside:
+            raise ValueError(f"mapped ID(s) {outside} not in [0, {INSTANCE_ID_LIMIT})")
         missing = [i for i in ids.tolist() if i != VOID_INSTANCE and i not in to_class]
         if missing:
             raise ValueError(f"instance ID(s) {missing} have no class assignment")
@@ -179,26 +184,6 @@ class PanopticMap:
     ) -> "PanopticMap":
         """Build a map from an instance-ID tensor and its instance->class table."""
         return cls(instance_ids, instance_to_class, class_table)
-
-    def unique_ids(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The sorted distinct instance IDs, each pixel's index into them
-        (shape (N, H, W)), and each ID's class (void_class for ID 0, int32).
-        Indexing by position, not raw ID, keeps the table small for wide IDs.
-        """
-        ids, inverse = np.unique(self.instance_ids, return_inverse=True)
-        void = self.class_table.void_class
-        to_class = self.instance_to_class
-        classes = np.array(
-            [void if i == VOID_INSTANCE else to_class[i] for i in ids.tolist()],
-            dtype=np.int32,
-        )
-        return ids, inverse.reshape(self.instance_ids.shape), classes
-
-    @property
-    def class_ids(self) -> np.ndarray:
-        """(N, H, W) int32 class map; void_class on void pixels."""
-        _, inverse, classes = self.unique_ids()
-        return classes[inverse]
 
     @property
     def num_views(self) -> int:

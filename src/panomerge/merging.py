@@ -109,9 +109,9 @@ def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMa
     """QUBO merging: select a globally consistent subset of proposals, then
     label each pixel with the selected proposal of highest soft value.
 
-    Pixels whose winning soft value falls below the void threshold stay void.
-    Selected queries become instance IDs 1..k in ascending query order, shared
-    across all views.
+    Pixels whose winning soft value is 0 or below the void threshold stay
+    void. Selected queries become instance IDs 1..k in ascending query order,
+    shared across all views.
 
     The QUBO is always built over the whole set. With a confidence prefilter
     the solver sees only the kept rows and columns of it, which equal the
@@ -137,7 +137,8 @@ def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMa
 
     # a weight of 1.0 leaves every value exactly as it is
     win_val, winner = _scatter_argmax(masks, chosen, np.ones(chosen.size))
-    return _assemble(masks, win_val >= cfg.void_threshold, winner, chosen)
+    labeled = (win_val > 0.0) & (win_val >= cfg.void_threshold)
+    return _assemble(masks, labeled, winner, chosen)
 
 
 def merge_baseline(

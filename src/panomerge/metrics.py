@@ -99,17 +99,19 @@ class PqReport:
 
 
 def _segments(
-    pmap: PanopticMap, classes: ClassTable
+    ids: np.ndarray, pmap: PanopticMap, classes: ClassTable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Each pixel's segment index, flattened over all views, and each
-    segment's class, built from the per-ID table of `unique_ids()`.
+    """The segment index of each entry of `ids` (instance IDs of `pmap`), and
+    each segment's class, from a table over the distinct IDs.
 
     Every thing ID is its own segment; the stuff IDs of a class share one
     scene-wide segment. Segments are ordered by (class, instance ID). Void
-    pixels, and IDs mapped to the void class, get index n (the segment count).
+    (ID 0, or an ID mapped to the void class) gets index n, the segment count.
     """
-    ids, inverse, cls = pmap.unique_ids()
-    valid = np.flatnonzero((ids != VOID_INSTANCE) & (cls != classes.void_class))
+    ids, inverse = np.unique(ids, return_inverse=True)
+    to_class, void = pmap.instance_to_class, classes.void_class
+    cls = np.array([to_class.get(i, void) for i in ids.tolist()], np.int64)
+    valid = np.flatnonzero((ids != VOID_INSTANCE) & (cls != void))
     if ((cls[valid] < 0) | (cls[valid] >= classes.num_classes)).any():
         raise ValueError("label map references a class ID outside the table")
     # IDs ascend, so a stable sort by class orders them as (class, ID)
@@ -121,7 +123,7 @@ def _segments(
     opens[:1] = True
     seg = np.full(ids.size, np.count_nonzero(opens), dtype=np.int64)
     seg[order] = np.cumsum(opens) - 1
-    return seg[inverse].ravel(), seg_cls[opens]
+    return seg[inverse], seg_cls[opens]
 
 
 def scene_pq(
@@ -132,27 +134,34 @@ def scene_pq(
 ) -> PqReport:
     """Panoptic Quality over the concatenation of all views of a scene.
 
-    Each map becomes a segment table (things one segment per instance, stuff
-    one per class; see `_segments`), and one histogram of (pred segment,
-    gt segment or gt void) pixel pairs gives every area and intersection.
-    A same-class pair is a true positive iff its IoU exceeds 0.5, which
-    guarantees one-to-one matching. Ground-truth void pixels are excluded
-    from IoU denominators, and (unless disabled) an unmatched predicted
-    segment majority-covered by gt void is exempt from the false-positive
-    count.
+    One pass over the pixels counts the (pred ID, gt ID) pairs. Folding each
+    ID into its segment (things one per instance, stuff one per class; see
+    `_segments`) turns them into the (pred segment, gt segment or gt void)
+    pair histogram, which gives every area and intersection. A same-class
+    pair is a true positive iff its IoU exceeds 0.5, which guarantees
+    one-to-one matching. Ground-truth void pixels are excluded from IoU
+    denominators, and (unless disabled) an unmatched predicted segment
+    majority-covered by gt void is exempt from the false-positive count.
     """
     if pred.instance_ids.shape != gt.instance_ids.shape:
         raise ValueError(
             "shape mismatch: pred "
             f"{pred.instance_ids.shape} vs gt {gt.instance_ids.shape}"
         )
-    pred_seg, pred_cls = _segments(pred, classes)
-    gt_seg, gt_cls = _segments(gt, classes)
+    # IDs are nonnegative, so pred * radix + gt never aliases two pairs
+    radix = int(gt.instance_ids.max(initial=0)) + 1
+    keys, id_counts = np.unique(
+        pred.instance_ids.astype(np.int64).ravel() * radix + gt.instance_ids.ravel(),
+        return_counts=True,
+    )
+    pred_seg, pred_cls = _segments(keys // radix, pred, classes)
+    gt_seg, gt_cls = _segments(keys % radix, gt, classes)
     n_pred, n_gt = pred_cls.size, gt_cls.size
 
-    # (pred, gt) pair histogram over all pixels; index n_pred / n_gt is void
-    keys, counts = np.unique(pred_seg * (n_gt + 1) + gt_seg, return_counts=True)
-    pair_p, pair_g = np.divmod(keys, n_gt + 1)
+    # fold the ID pairs into (pred, gt) segment pairs; index n_pred / n_gt is void
+    seg_keys, fold = np.unique(pred_seg * (n_gt + 1) + gt_seg, return_inverse=True)
+    counts = np.bincount(fold, id_counts, seg_keys.size)
+    pair_p, pair_g = np.divmod(seg_keys, n_gt + 1)
     pred_area = np.bincount(pair_p, counts, n_pred + 1)[:n_pred]
     gt_area = np.bincount(pair_g, counts, n_gt + 1)[:n_gt]
     on_void = pair_g == n_gt

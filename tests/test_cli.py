@@ -302,6 +302,21 @@ class TestUpliftRender:
         report = json.loads(capsys.readouterr().out)
         assert report["pq"] == 100.0
 
+    def test_class_key_beyond_id_range_is_exit_2_and_writes_nothing(
+        self, scene_dir, tmp_path, capsys
+    ):
+        # no pixel carries the key, but uplift sizes its field by the largest key
+        sidecar = scene_dir / "gt.json"
+        meta = json.loads(sidecar.read_text())
+        meta["instance_to_class"][str(1 << 40)] = 0
+        sidecar.write_text(json.dumps(meta))
+        field = tmp_path / "field.pmt"
+        code = run(["uplift", scene_dir / "gt.pmt", scene_dir / "splats.psw",
+                    "--out", field])
+        assert code == 2
+        assert "not in [0, " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scene_dir]
+
     def test_labels_lacking_a_rendered_id_is_exit_2(
         self, scene_dir, tmp_path, capsys
     ):

@@ -74,7 +74,8 @@ def dense_merge_qubo(masks, cfg):
     vals = masks.values[selected]
     winner = np.argmax(vals, axis=0)
     win_val = np.take_along_axis(vals, winner[None], axis=0)[0]
-    instance_ids = np.where(win_val >= cfg.void_threshold, winner + 1, 0)
+    labeled = (win_val > 0.0) & (win_val >= cfg.void_threshold)
+    instance_ids = np.where(labeled, winner + 1, 0)
     return dense_assemble(masks, instance_ids, selected.tolist())
 
 
@@ -104,7 +105,8 @@ def ref_merge_qubo(masks, cfg):
     if chosen.size == 0:
         return dense_empty(masks)
     win_val, winner = merging._scatter_argmax(sub, chosen, np.ones(chosen.size))
-    instance_ids = np.where(win_val >= cfg.void_threshold, winner + 1, 0)
+    labeled = (win_val > 0.0) & (win_val >= cfg.void_threshold)
+    instance_ids = np.where(labeled, winner + 1, 0)
     return dense_assemble(
         masks, instance_ids.reshape(masks.values.shape[1:]), keep[chosen].tolist()
     )
@@ -165,6 +167,14 @@ def assert_same_map(a, b):
     assert a.instance_to_class == b.instance_to_class
 
 
+def assert_one_class_per_instance(pmap):
+    # every labeled pixel's ID looks up a real class, and no mapped ID is absent
+    present = set(np.unique(pmap.instance_ids).tolist()) - {0}
+    assert set(pmap.instance_to_class) == present
+    classes = [pmap.instance_to_class[i] for i in present]
+    assert all(0 <= c < pmap.class_table.num_classes for c in classes)
+
+
 class TestMergeQubo:
     def test_single_full_query(self):
         masks = make_mask_set(
@@ -220,6 +230,15 @@ class TestMergeQubo:
         high = merge_qubo(masks, MergeConfig(void_threshold=0.7, solver="exact"))
         assert not ((low.instance_ids == 0) & (high.instance_ids != 0)).any()
 
+    def test_zero_threshold_leaves_uncovered_pixels_void(self):
+        values = np.zeros((2, 1, 1, 3))
+        values[0, 0, 0, 0] = values[1, 0, 0, 1] = 1.0
+        masks = make_mask_set(values)
+        cfg = MergeConfig(void_threshold=0.0, solver="exact")
+        result = merge_qubo(masks, cfg)
+        np.testing.assert_array_equal(result.instance_ids, [[[1, 2, 0]]])
+        assert_same_map(result, dense_merge_qubo(masks, cfg))
+
     def test_prefilter_removing_all_queries_warns_and_voids(self):
         masks = make_mask_set(
             np.ones((2, 1, 2, 2)), class_probs=np.full((2, 3), 0.2)
@@ -233,8 +252,7 @@ class TestMergeQubo:
             SceneSpec(seed=21, corruption=CorruptionSpec(duplicate_rate=0.5))
         )
         result = merge_qubo(proposals)
-        for iid, cid in result.instance_to_class.items():
-            assert (result.class_ids[result.instance_ids == iid] == cid).all()
+        assert_one_class_per_instance(result)
 
 
     @settings(max_examples=150, deadline=None)
@@ -345,8 +363,7 @@ class TestMergeBaseline:
             )
         )
         result = merge_baseline(proposals)
-        for iid, cid in result.instance_to_class.items():
-            assert (result.class_ids[result.instance_ids == iid] == cid).all()
+        assert_one_class_per_instance(result)
 
     @settings(max_examples=150, deadline=None)
     @given(

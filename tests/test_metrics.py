@@ -162,6 +162,43 @@ class TestScenePq:
         with pytest.raises(ValueError):
             pmap([[[1, top + 2]]], {1: 1, top + 2: 0}, table)
 
+    def test_stuff_id_pairs_fold_into_one_segment_pair(self, table):
+        # two wall IDs on each side: four ID pairs, one stuff segment pair
+        gt = pmap([[[1, 1, 2, 2, 3]]], {1: 2, 2: 2, 3: 0}, table)
+        pred = pmap([[[5, 6, 5, 6, 3]]], {5: 2, 6: 2, 3: 0}, table)
+        report = scene_pq(pred, gt, table)
+        wall = report.per_class[2]
+        assert (wall.tp, wall.fp, wall.fn, wall.iou_sum) == (1, 0, 0, 1.0)
+        assert report.pq == 100.0
+
+    def test_pred_ids_above_largest_gt_id(self, table):
+        gt = pmap([[[1, 1, 0, 0, 2]]], {1: 0, 2: 1}, table)
+        pred = pmap([[[1000, 1000, 7, 7, 2]]], {1000: 0, 7: 0, 2: 1}, table)
+        exempt = scene_pq(pred, gt, table)
+        assert {c: (s.tp, s.fp, s.fn) for c, s in exempt.per_class.items()} == {
+            0: (1, 0, 0), 1: (1, 0, 0),
+        }
+        strict = scene_pq(pred, gt, table, void_exemption=False)
+        assert (strict.per_class[0].tp, strict.per_class[0].fp) == (1, 1)
+
+    def test_all_void_gt(self, table):
+        gt = pmap(np.zeros((2, 1, 3), dtype=int), {}, table)
+        pred = pmap([[[0, 4, 4]], [[9, 9, 9]]], {4: 0, 9: 2}, table)
+        exempt = scene_pq(pred, gt, table)
+        assert exempt.per_class == {} and exempt.pq == 0.0
+        strict = scene_pq(pred, gt, table, void_exemption=False)
+        assert {c: (s.tp, s.fp, s.fn) for c, s in strict.per_class.items()} == {
+            0: (0, 1, 0), 2: (0, 1, 0),
+        }
+
+    @pytest.mark.parametrize("cid", [-1, 3])
+    def test_class_outside_table_raises(self, table, cid):
+        bad = pmap([[[1, 2]]], {1: 0, 2: cid}, table)
+        good = pmap([[[1, 1]]], {1: 0}, table)
+        for pred, gt in ((bad, good), (good, bad)):
+            with pytest.raises(ValueError, match="outside the table"):
+                scene_pq(pred, gt, table)
+
     def test_thing_stuff_split(self, table):
         gt = np.zeros((1, 2, 4), dtype=int)
         gt[0, 0] = 1  # thing
@@ -233,9 +270,13 @@ class TestSerialization:
 
 
 def ref_segment_codes(pmap, classes):
-    ids, inverse, cls = pmap.unique_ids()
+    ids, inverse = np.unique(pmap.instance_ids, return_inverse=True)
     ids = ids.astype(np.int64)
-    cls = cls.astype(np.int64)
+    void, to_class = classes.void_class, pmap.instance_to_class
+    cls = np.array(
+        [void if i == VOID_INSTANCE else to_class[i] for i in ids.tolist()],
+        dtype=np.int64,
+    )
     valid = (ids != VOID_INSTANCE) & (cls != classes.void_class)
     if ((cls[valid] < 0) | (cls[valid] >= classes.num_classes)).any():
         raise ValueError("label map references a class ID outside the table")
