@@ -83,7 +83,6 @@ def cmd_synth(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    masks = _load_mask_set(args.masks, args.classprobs)
     cfg = MergeConfig(
         penalty=args.lambda_p,
         void_threshold=args.void_threshold,
@@ -91,6 +90,7 @@ def cmd_merge(args) -> int:
         solver=args.solver,
         anneal=_anneal_config(args),
     )
+    masks = _load_mask_set(args.masks, args.classprobs)
     pmap = merge_qubo(masks, cfg)
     pio.write_panoptic(args.out, pmap)
     print(f"selected {len(pmap.instance_to_class)} proposals")
@@ -199,6 +199,7 @@ def cmd_fps(args) -> int:
 
 
 def cmd_solve_qubo(args) -> int:
+    cfg = _anneal_config(args)
     try:
         doc = json.loads(Path(args.instance).read_text())
         fields = (
@@ -212,7 +213,7 @@ def cmd_solve_qubo(args) -> int:
     if args.exact:
         result = solve_exact(q)
     else:
-        result = solve_anneal(q, _anneal_config(args))
+        result = solve_anneal(q, cfg)
     print(f"u={[int(b) for b in result.bits]}")
     print(f"objective={result.objective}")
     return EXIT_OK

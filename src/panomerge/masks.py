@@ -147,8 +147,10 @@ class PanopticMap:
     Instance IDs are consistent across views: the same nonzero ID denotes
     the same object everywhere. Instance 0 is void. Integer (or bool) ID
     arrays are stored as int32 once their range is checked; the keys of
-    `instance_to_class` must lie in the same range. No per-pixel class map
-    is stored: a pixel's class is `instance_to_class[instance ID]`.
+    `instance_to_class` must lie in the same range, and its values in
+    [0, num_classes) or equal the void class, which marks an ID as void. No
+    per-pixel class map is stored: a pixel's class is
+    `instance_to_class[instance ID]`.
     """
 
     instance_ids: np.ndarray
@@ -172,6 +174,16 @@ class PanopticMap:
         missing = [i for i in ids.tolist() if i != VOID_INSTANCE and i not in to_class]
         if missing:
             raise ValueError(f"instance ID(s) {missing} have no class assignment")
+        table = self.class_table
+        bad = sorted(
+            {c for c in to_class.values() if not 0 <= c < table.num_classes}
+            - {table.void_class}
+        )
+        if bad:
+            raise ValueError(
+                f"class ID(s) {bad} not in [0, {table.num_classes}) "
+                f"or the void class {table.void_class}"
+            )
         object.__setattr__(self, "instance_ids", inst)
         object.__setattr__(self, "instance_to_class", dict(self.instance_to_class))
 

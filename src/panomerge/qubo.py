@@ -21,6 +21,8 @@ from .masks import SoftMaskSet
 
 EXACT_MAX_VARS = 24
 DEFAULT_PENALTY = 2.0
+# sweeps per raw draw; even, so no buffered 32-bit half crosses a block edge
+SWEEP_BLOCK = 64
 
 
 @dataclass(frozen=True)
@@ -85,6 +87,8 @@ class AnnealConfig:
             raise ValueError("cooling_rate must be in (0, 1)")
         if self.sweeps < 1 or self.restarts < 1:
             raise ValueError("sweeps and restarts must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
 
 def build_qubo(masks: SoftMaskSet, penalty: float = DEFAULT_PENALTY) -> QuboInstance:
@@ -207,18 +211,61 @@ def _local_search(q: QuboInstance, u: list[float], nbrs) -> list[float]:
         return u
 
 
-def _anneal_once(q: QuboInstance, cfg: AnnealConfig, seed: int, nbrs) -> list[float]:
-    m = q.num_vars
-    rng = np.random.Generator(np.random.PCG64(seed))
-    u = _greedy_bits(q, nbrs)
-    h = _field(q, u)
-    obj = objective(q, u)
+def _block_draws(bitgen, m: int, n: int):
+    """The (indices, uniforms) that n sweeps of `integers(0, m, size=m)` then
+    `random(size=m)` on `np.random.Generator(bitgen)` return, as (n, m)
+    arrays from one `random_raw` call; None if an index hits a rejection.
+
+    numpy takes each index from the next 32-bit half x of a raw word (low
+    half first; the high half waits for the next index draw) by Lemire's
+    method: (x * m) >> 32, rejected, and drawn again, when the low 32 bits of
+    x * m fall below 2**32 % m. With m == 1 it draws no word. Each double is
+    one word w mapped to (w >> 11) * 2**-53. So by the end of sweep s the
+    stream holds ceil((s + 1) m / 2) index words and (s + 1) m doubles, and
+    index word j sits after the doubles of the 2j // m sweeps before its own.
+    """
+    s = np.arange(n)[:, None]
+    first = s * m + (0 if m == 1 else ((s + 1) * m + 1) // 2)  # sweep s's 1st double
+    words = bitgen.random_raw(int(first[-1, 0]) + m)
+    uniforms = (words[first + np.arange(m)] >> np.uint64(11)) * 2.0**-53
+    if m == 1:
+        return np.zeros((n, 1), dtype=np.int64), uniforms
+    j = np.arange((n * m + 1) // 2)
+    halves = words[j + (2 * j // m) * m].astype("<u8", copy=False).view("<u4")[: n * m]
+    scaled = halves.astype(np.uint64) * m
+    if ((scaled & 0xFFFFFFFF) < 2**32 % m).any():
+        return None
+    return (scaled >> 32).reshape(n, m), uniforms
+
+
+def _sweep_draws(seed: int, m: int, sweeps: int):
+    """Yield each sweep's indices and log-uniforms as lists: the values of
+    `integers(0, m, size=m)` and `np.log(random(size=m))` on
+    `Generator(PCG64(seed))`, taken SWEEP_BLOCK sweeps per raw draw. From a
+    block with a rejection on, the Generator itself draws, per sweep."""
+    bitgen = np.random.PCG64(seed)
+    for start in range(0, sweeps, SWEEP_BLOCK):
+        state = bitgen.state
+        block = _block_draws(bitgen, m, min(SWEEP_BLOCK, sweeps - start))
+        if block is None:
+            bitgen.state = state
+            rng = np.random.Generator(bitgen)
+            for _ in range(start, sweeps):
+                idxs = rng.integers(0, m, size=m)
+                yield idxs.tolist(), np.log(rng.random(size=m)).tolist()
+            return
+        idxs, uniforms = block
+        yield from zip(idxs.tolist(), np.log(uniforms).tolist())
+
+
+def _anneal_once(
+    q: QuboInstance, cfg: AnnealConfig, seed: int, nbrs, u, h, obj: float
+) -> list[float]:
+    """Anneal from bits u with fields h and objective obj, updating u and h."""
     best_obj = obj
     best_u = u.copy()
     temp = float(q.linear.max(initial=0.0)) or 1.0
-    for _ in range(cfg.sweeps):
-        idxs = rng.integers(0, m, size=m).tolist()
-        log_r = np.log(rng.random(size=m)).tolist()
+    for idxs, log_r in _sweep_draws(seed, q.num_vars, cfg.sweeps):
         for i, lr in zip(idxs, log_r):
             delta = (1.0 - 2.0 * u[i]) * h[i]
             if delta >= 0.0 or lr < delta / temp:
@@ -235,19 +282,28 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig | None = None) -> Assignment
     """Simulated annealing with geometric cooling, restarts, and a final
     single-flip hill climb so the returned assignment is locally optimal. Flips
     update local fields through neighbour lists (Isakov et al., Comput. Phys.
-    Commun. 192, 2015).
+    Commun. 192, 2015). Every restart starts from the same greedy selection.
 
-    Deterministic for a fixed config: restart r uses seed cfg.seed + r and
-    ties between restarts go to the lowest restart index.
+    Deterministic for a fixed config: restart r draws from PCG64(cfg.seed + r),
+    and ties between restarts go to the lowest restart index. Sweep s draws
+    `integers(0, m, size=m)` (the proposals to try) and then
+    `random(size=m)` (the acceptance uniforms) on that stream's
+    `np.random.Generator`. The draws are taken SWEEP_BLOCK sweeps at a time
+    from the raw stream and reproduce those calls bit for bit.
     """
     cfg = cfg or AnnealConfig()
     if q.num_vars == 0:
         return Assignment(np.zeros(0, dtype=bool), 0.0)
     nbrs = _neighbours(q)
+    start = _greedy_bits(q, nbrs)
+    field = _field(q, start)
+    start_obj = objective(q, start)
     best_bits = None
     best_obj = -math.inf
     for r in range(cfg.restarts):
-        bits = _anneal_once(q, cfg, cfg.seed + r, nbrs)
+        bits = _anneal_once(
+            q, cfg, cfg.seed + r, nbrs, start.copy(), field.copy(), start_obj
+        )
         obj = objective(q, bits)
         if obj > best_obj:
             best_obj = obj

@@ -144,6 +144,18 @@ class TestSynthAndMerge:
         assert code == 2
         assert "confidence_prefilter" in capsys.readouterr().err
 
+    def test_negative_seed_is_exit_2_and_writes_nothing(
+        self, scene_dir, tmp_path, capsys
+    ):
+        out = tmp_path / "m.pmt"
+        code = run(
+            ["merge", scene_dir / "masks.pmt", scene_dir / "classprobs.pmt",
+             "--out", out, "--seed", "-1"]
+        )
+        assert code == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scene_dir]
+
     def test_json_out_is_exit_2_and_writes_nothing(self, scene_dir, tmp_path):
         code = run(
             ["merge", scene_dir / "masks.pmt", scene_dir / "classprobs.pmt",
@@ -317,6 +329,23 @@ class TestUpliftRender:
         assert "not in [0, " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [scene_dir]
 
+    @pytest.mark.parametrize("cid", [-1, "num_classes"])
+    def test_class_outside_table_is_exit_2_and_writes_nothing(
+        self, scene_dir, tmp_path, capsys, cid
+    ):
+        sidecar = scene_dir / "gt.json"
+        meta = json.loads(sidecar.read_text())
+        if cid == "num_classes":
+            cid = len(meta["class_table"]["names"])
+        meta["instance_to_class"][next(iter(meta["instance_to_class"]))] = cid
+        sidecar.write_text(json.dumps(meta))
+        field = tmp_path / "field.pmt"
+        code = run(["uplift", scene_dir / "gt.pmt", scene_dir / "splats.psw",
+                    "--out", field])
+        assert code == 2
+        assert f"class ID(s) [{cid}] not in [0, " in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [scene_dir]
+
     def test_labels_lacking_a_rendered_id_is_exit_2(
         self, scene_dir, tmp_path, capsys
     ):
@@ -456,6 +485,15 @@ class TestSolveQubo:
         path = tmp_path / "q.json"
         path.write_bytes(doc)
         assert run(["solve-qubo", path]) == 3
+
+    def test_negative_seed_is_exit_2_and_writes_nothing(self, tmp_path, capsys):
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps({"linear": [1.0], "quadratic": [[0.0]]}))
+        assert run(["solve-qubo", path, "--seed", "-1"]) == 2
+        captured = capsys.readouterr()
+        assert "seed must be >= 0" in captured.err
+        assert captured.out == ""
+        assert list(tmp_path.iterdir()) == [path]
 
     def test_invalid_instance_is_exit_2(self, tmp_path, capsys):
         path = tmp_path / "q.json"

@@ -60,6 +60,53 @@ def test_no_environment_knobs(path):
     assert environment_reads(path.read_text()) == []
 
 
+# numpy's legacy global-state draws; every draw must come from a seeded
+# bit generator, or seeded runs stop being reproducible.
+LEGACY_RANDOM = {
+    "seed", "rand", "randn", "randint", "random", "choice", "shuffle", "permutation"
+}
+
+
+def unseeded_randomness(source: str) -> list[str]:
+    """Uses of numpy's legacy global RNG (`np.random.rand` and kin, also when
+    imported by name) and `default_rng()` calls without a seed."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in LEGACY_RANDOM:
+            if ast.unparse(node.value) in ("np.random", "numpy.random"):
+                found.append(node.attr)
+        elif isinstance(node, ast.ImportFrom) and node.module == "numpy.random":
+            found += [a.name for a in node.names if a.name in LEGACY_RANDOM]
+        elif isinstance(node, ast.Call):
+            if ast.unparse(node.func).split(".")[-1] == "default_rng":
+                seeds = [*node.args, *(k.value for k in node.keywords)]
+                if all(isinstance(a, ast.Constant) and a.value is None for a in seeds):
+                    found.append("default_rng")
+    return sorted(found)
+
+
+def test_detects_unseeded_randomness():
+    source = (
+        "import numpy as np\nimport numpy\nfrom numpy.random import shuffle\n"
+        "np.random.seed(0); np.random.rand(2); numpy.random.randn(2)\n"
+        "np.random.randint(3); np.random.random(2); np.random.choice([1])\n"
+        "np.random.permutation(3); draw = np.random.default_rng()\n"
+        "np.random.default_rng(None); np.random.default_rng(seed=None)\n"
+        "rng = np.random.default_rng(7); rng.random(2); rng.choice([1])\n"
+        "np.random.Generator(np.random.PCG64(7)).permutation(3)\n"
+        "np.random.default_rng(seed=7); np.random.PCG64(7).random_raw(2)\n"
+    )
+    assert unseeded_randomness(source) == sorted(
+        ["shuffle", "seed", "rand", "randn", "randint", "random", "choice",
+         "permutation", "default_rng", "default_rng", "default_rng"]
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_all_randomness_seeded(path):
+    assert unseeded_randomness(path.read_text()) == []
+
+
 def words(text: str) -> Counter:
     return Counter(re.findall(r"\w+", text))
 

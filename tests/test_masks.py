@@ -202,6 +202,18 @@ class TestPanopticMap:
         with pytest.raises(ValueError, match=rf"\[{bad_key}\] not in"):
             PanopticMap(np.array([[[0, 1]]]), {1: 0, bad_key: 0}, table)
 
+    @pytest.mark.parametrize("cid", [-1, 3])
+    def test_classes_outside_table_rejected(self, cid):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        msg = rf"class ID\(s\) \[{cid}\] not in \[0, 3\)"
+        with pytest.raises(ValueError, match=msg):
+            PanopticMap(np.array([[[1, 2]]]), {1: 0, 2: cid}, table)
+
+    def test_void_class_accepted(self):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        pmap = PanopticMap(np.array([[[1, 2]]]), {1: 2, 2: table.void_class}, table)
+        assert pmap.instance_to_class == {1: 2, 2: table.void_class}
+
     def test_instance_without_class_rejected(self):
         table = ClassTable(("chair", "bag", "wall"), (True, True, False))
         with pytest.raises(ValueError):

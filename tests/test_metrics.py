@@ -193,7 +193,11 @@ class TestScenePq:
 
     @pytest.mark.parametrize("cid", [-1, 3])
     def test_class_outside_table_raises(self, table, cid):
-        bad = pmap([[[1, 2]]], {1: 0, 2: cid}, table)
+        # a map holds only classes of its own table; score it against another
+        wider = ClassTable(
+            (*table.names, "cup"), (*table.is_thing, True), void_class=-1
+        )
+        bad = pmap([[[1, 2]]], {1: 0, 2: cid}, wider)
         good = pmap([[[1, 1]]], {1: 0}, table)
         for pred, gt in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="outside the table"):

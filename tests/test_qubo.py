@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,7 +18,14 @@ from panomerge import (
     solve_exact,
     weighted_area,
 )
-from panomerge.qubo import _greedy_bits, _local_search, _neighbours
+from panomerge.qubo import (
+    SWEEP_BLOCK,
+    _block_draws,
+    _greedy_bits,
+    _local_search,
+    _neighbours,
+    _sweep_draws,
+)
 
 from conftest import make_mask_set, random_mask_set
 
@@ -100,6 +108,68 @@ def ref_solve_anneal(q, cfg):
             best_obj = obj
             best_bits = bits
     return best_bits, best_obj
+
+
+def ref_sweep_draws(seed, m, sweeps):
+    """Each sweep's draws as the annealer took them before block draws."""
+    rng = np.random.Generator(np.random.PCG64(seed))
+    for _ in range(sweeps):
+        idxs = rng.integers(0, m, size=m)
+        yield idxs.tolist(), np.log(rng.random(size=m)).tolist()
+
+
+def first_rejected_sweep(seed, m, sweeps):
+    """Replay numpy's bounded index draws one 32-bit half at a time (low half
+    first, Lemire's method) and return the first sweep whose indices hit a
+    rejection, or None."""
+    bitgen = np.random.PCG64(seed)
+    high = None
+    for s in range(sweeps):
+        for _ in range(m):
+            if high is None:
+                word = int(bitgen.random_raw())
+                x, high = word & 0xFFFFFFFF, word >> 32
+            else:
+                x, high = high, None
+            if (x * m) & 0xFFFFFFFF < 2**32 % m:
+                return s
+        bitgen.random_raw(m)  # the sweep's doubles
+    return None
+
+
+class TestSweepDraws:
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(0, 2**32),
+        st.integers(1, 300),
+        st.one_of(st.sampled_from([63, 64, 65, 129]), st.integers(1, 200)),
+    )
+    def test_equal_per_sweep_generator_calls(self, seed, m, sweeps):
+        got = list(_sweep_draws(seed, m, sweeps))
+        assert got == list(ref_sweep_draws(seed, m, sweeps))
+
+    @pytest.mark.parametrize("seed, m, sweep", [(255, 249, 119), (313, 247, 71)])
+    def test_rejection_replays_through_generator(self, seed, m, sweep):
+        assert first_rejected_sweep(seed, m, 200) == sweep
+        bitgen = np.random.PCG64(seed)
+        for _ in range(sweep // SWEEP_BLOCK):
+            assert _block_draws(bitgen, m, SWEEP_BLOCK) is not None
+        assert _block_draws(bitgen, m, SWEEP_BLOCK) is None
+        got = list(_sweep_draws(seed, m, 200))
+        assert got == list(ref_sweep_draws(seed, m, 200))
+
+    def test_memory_does_not_grow_with_sweeps(self):
+        q = random_instance(np.random.default_rng(3), 30)
+
+        def peak(sweeps):
+            tracemalloc.start()
+            try:
+                solve_anneal(q, AnnealConfig(sweeps=sweeps, restarts=1))
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        assert peak(5000) <= 1.5 * peak(100)
 
 
 @st.composite
@@ -290,14 +360,13 @@ class TestSolveAnneal:
             assert single_flip_gain(q, u, i) <= 0.0
 
     @settings(max_examples=150, deadline=None)
-    @given(qubo_instances(), st.sampled_from([1, 30, 300]))
-    def test_matches_reference_annealer(self, q, sweeps):
-        for seed in range(4):
-            cfg = AnnealConfig(seed=seed, sweeps=sweeps, restarts=1)
-            result = solve_anneal(q, cfg)
-            ref_bits, ref_obj = ref_solve_anneal(q, cfg)
-            assert np.array_equal(result.bits, ref_bits)
-            assert result.objective == ref_obj
+    @given(qubo_instances(), st.integers(0, 2**16), st.sampled_from([1, 30, 65, 300]))
+    def test_matches_reference_annealer(self, q, seed, sweeps):
+        cfg = AnnealConfig(seed=seed, sweeps=sweeps, restarts=4)
+        result = solve_anneal(q, cfg)
+        ref_bits, ref_obj = ref_solve_anneal(q, cfg)
+        assert np.array_equal(result.bits, ref_bits)
+        assert result.objective == ref_obj
 
     @settings(max_examples=60, deadline=None)
     @given(qubo_instances(max_vars=12), st.integers(0, 3))
