@@ -3,11 +3,17 @@
 Subcommands: synth, merge, merge-baseline, eval-pq, uplift, render-labels,
 fps, solve-qubo. Exit codes: 0 ok, 2 usage/validation error, 3 I/O or parse
 error. Every command is deterministic given its inputs and flags.
+
+An optional flag left out is left out: each flag stores into the name of the
+library field or parameter it sets, and a command passes on only the flags
+given, so the library supplies every default and every check. A command
+builds its config before it reads any input.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -28,20 +34,18 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _anneal_config(args) -> AnnealConfig:
-    return AnnealConfig(
-        seed=args.seed,
-        cooling_rate=args.cooling,
-        sweeps=args.sweeps,
-        restarts=args.restarts,
-    )
+def _config(cls, args, **nested):
+    """`cls` built from the flags given whose dest is one of its fields, plus
+    the `nested` configs."""
+    names = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in vars(args).items() if k in names}, **nested)
 
 
 def _add_anneal_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--seed", type=int, default=AnnealConfig.seed)
-    p.add_argument("--sweeps", type=int, default=AnnealConfig.sweeps)
-    p.add_argument("--restarts", type=int, default=AnnealConfig.restarts)
-    p.add_argument("--cooling", type=float, default=AnnealConfig.cooling_rate)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--sweeps", type=int)
+    p.add_argument("--restarts", type=int)
+    p.add_argument("--cooling", type=float, dest="cooling_rate")
 
 
 def _load_mask_set(masks_path: str, probs_path: str) -> SoftMaskSet:
@@ -52,24 +56,7 @@ def _load_mask_set(masks_path: str, probs_path: str) -> SoftMaskSet:
 
 
 def cmd_synth(args) -> int:
-    spec = SceneSpec(
-        seed=args.seed,
-        num_views=args.views,
-        height=args.height,
-        width=args.width,
-        num_things=args.things,
-        num_stuff=args.stuff,
-        world_size=args.world,
-        corruption=CorruptionSpec(
-            duplicate_rate=args.duplicate_rate,
-            duplicate_count=args.duplicate_count,
-            fragment_rate=args.fragment_rate,
-            boundary_noise_px=args.boundary_noise,
-            softness=args.softness,
-            class_noise=args.class_noise,
-            view_gain_noise=args.view_gain_noise,
-        ),
-    )
+    spec = _config(SceneSpec, args, corruption=_config(CorruptionSpec, args))
     gt, proposals, splats = generate_scene(spec)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
@@ -83,13 +70,7 @@ def cmd_synth(args) -> int:
 
 
 def cmd_merge(args) -> int:
-    cfg = MergeConfig(
-        penalty=args.lambda_p,
-        void_threshold=args.void_threshold,
-        confidence_prefilter=args.prefilter,
-        solver=args.solver,
-        anneal=_anneal_config(args),
-    )
+    cfg = _config(MergeConfig, args, anneal=_config(AnnealConfig, args))
     masks = _load_mask_set(args.masks, args.classprobs)
     pmap = merge_qubo(masks, cfg)
     pio.write_panoptic(args.out, pmap)
@@ -98,11 +79,8 @@ def cmd_merge(args) -> int:
 
 
 def cmd_merge_baseline(args) -> int:
+    cfg = _config(BaselineConfig, args)
     masks = _load_mask_set(args.masks, args.classprobs)
-    cfg = BaselineConfig(
-        confidence_threshold=args.conf_threshold,
-        vote_support_threshold=args.vote_threshold,
-    )
     pmap = merge_baseline(masks, cfg)
     pio.write_panoptic(args.out, pmap)
     print(f"kept {len(pmap.instance_to_class)} proposals")
@@ -187,7 +165,6 @@ def cmd_render_labels(args) -> int:
 
 def cmd_fps(args) -> int:
     vectors = pio.read_tensor(args.descriptors)
-    # only the flags given: fps_select supplies its own defaults
     given = {n: getattr(args, n) for n in ("k", "seed_index", "metric") if n in args}
     selected = fps_select(FrameDescriptors(vectors), **given)
     text = " ".join(str(i) for i in selected)
@@ -199,7 +176,7 @@ def cmd_fps(args) -> int:
 
 
 def cmd_solve_qubo(args) -> int:
-    cfg = _anneal_config(args)
+    cfg = _config(AnnealConfig, args)
     try:
         doc = json.loads(Path(args.instance).read_text())
         fields = (
@@ -210,7 +187,7 @@ def cmd_solve_qubo(args) -> int:
     except pio.JSON_FIELD_ERRORS as exc:
         raise pio.FormatError(f"{args.instance}: bad QUBO instance: {exc}") from exc
     q = QuboInstance(*fields)
-    if args.exact:
+    if "exact" in args:
         result = solve_exact(q)
     else:
         result = solve_anneal(q, cfg)
@@ -226,44 +203,44 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # every default below is the library's own
-    p = sub.add_parser("synth", help="generate a synthetic benchmark scene")
+    # a flag left out is absent from args, so the library's default applies
+    omit = {"argument_default": argparse.SUPPRESS}
+
+    p = sub.add_parser("synth", help="generate a synthetic benchmark scene", **omit)
     p.add_argument("--out", required=True)
-    spec, corrupt = SceneSpec, CorruptionSpec
-    p.add_argument("--seed", type=int, default=spec.seed)
-    p.add_argument("--views", type=int, default=spec.num_views)
-    p.add_argument("--height", type=int, default=spec.height)
-    p.add_argument("--width", type=int, default=spec.width)
-    p.add_argument("--things", type=int, default=spec.num_things)
-    p.add_argument("--stuff", type=int, default=spec.num_stuff)
-    p.add_argument("--world", type=int, default=spec.world_size)
-    p.add_argument("--duplicate-rate", type=float, default=corrupt.duplicate_rate)
-    p.add_argument("--duplicate-count", type=int, default=corrupt.duplicate_count)
-    p.add_argument("--fragment-rate", type=float, default=corrupt.fragment_rate)
-    p.add_argument("--boundary-noise", type=int, default=corrupt.boundary_noise_px)
-    p.add_argument("--softness", type=float, default=corrupt.softness)
-    p.add_argument("--class-noise", type=float, default=corrupt.class_noise)
-    p.add_argument("--view-gain-noise", type=float, default=corrupt.view_gain_noise)
+    p.add_argument("--seed", type=int)
+    p.add_argument("--views", type=int, dest="num_views")
+    p.add_argument("--height", type=int)
+    p.add_argument("--width", type=int)
+    p.add_argument("--things", type=int, dest="num_things")
+    p.add_argument("--stuff", type=int, dest="num_stuff")
+    p.add_argument("--world", type=int, dest="world_size")
+    p.add_argument("--duplicate-rate", type=float)
+    p.add_argument("--duplicate-count", type=int)
+    p.add_argument("--fragment-rate", type=float)
+    p.add_argument("--boundary-noise", type=int, dest="boundary_noise_px")
+    p.add_argument("--softness", type=float)
+    p.add_argument("--class-noise", type=float)
+    p.add_argument("--view-gain-noise", type=float)
     p.set_defaults(func=cmd_synth)
 
-    p = sub.add_parser("merge", help="QUBO mask merging")
+    p = sub.add_parser("merge", help="QUBO mask merging", **omit)
     p.add_argument("masks")
     p.add_argument("classprobs")
     p.add_argument("--out", required=True)
-    p.add_argument("--lambda-p", type=float, default=DEFAULT_PENALTY)
-    p.add_argument("--void-threshold", type=float, default=MergeConfig.void_threshold)
-    p.add_argument("--prefilter", type=float, default=MergeConfig.confidence_prefilter)
-    p.add_argument("--solver", default=MergeConfig.solver)
+    p.add_argument("--lambda-p", type=float, dest="penalty")
+    p.add_argument("--void-threshold", type=float)
+    p.add_argument("--prefilter", type=float, dest="confidence_prefilter")
+    p.add_argument("--solver")
     _add_anneal_flags(p)
     p.set_defaults(func=cmd_merge)
 
-    p = sub.add_parser("merge-baseline", help="standard voting-based merging")
+    p = sub.add_parser("merge-baseline", help="standard voting-based merging", **omit)
     p.add_argument("masks")
     p.add_argument("classprobs")
     p.add_argument("--out", required=True)
-    base = BaselineConfig
-    p.add_argument("--conf-threshold", type=float, default=base.confidence_threshold)
-    p.add_argument("--vote-threshold", type=float, default=base.vote_support_threshold)
+    p.add_argument("--conf-threshold", type=float, dest="confidence_threshold")
+    p.add_argument("--vote-threshold", type=float, dest="vote_support_threshold")
     p.set_defaults(func=cmd_merge_baseline)
 
     p = sub.add_parser("eval-pq", help="scene or dataset Panoptic Quality")
@@ -289,15 +266,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(func=cmd_render_labels)
 
-    p = sub.add_parser("fps", help="farthest-point keyframe selection")
+    p = sub.add_parser("fps", help="farthest-point keyframe selection", **omit)
     p.add_argument("descriptors")
-    p.add_argument("--k", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--seed-index", type=int, default=argparse.SUPPRESS)
-    p.add_argument("--metric", default=argparse.SUPPRESS)
-    p.add_argument("--out")
+    p.add_argument("--k", type=int)
+    p.add_argument("--seed-index", type=int)
+    p.add_argument("--metric")
+    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_fps)
 
-    p = sub.add_parser("solve-qubo", help="solve a QUBO instance from JSON")
+    p = sub.add_parser("solve-qubo", help="solve a QUBO instance from JSON", **omit)
     p.add_argument("instance")
     p.add_argument("--exact", action="store_true")
     _add_anneal_flags(p)

@@ -28,7 +28,7 @@ SPLAT_MAGIC = b"PSW1"
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}
 _CODES = {np.dtype("float32"): 1, np.dtype("uint16"): 2, np.dtype("uint8"): 3}
 
-_READ_CHUNK = 1 << 16  # elements converted per step by read_tensor(..., dtype)
+_READ_CHUNK = 1 << 14  # elements read per step by read_tensor, into one buffer
 
 _SPLAT_RECORD = np.dtype(
     [("splat", "<u4"), ("view", "<u2"), ("pixel", "<u4"), ("weight", "<f4")]
@@ -81,9 +81,9 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 
 def read_tensor(path, dtype=None) -> np.ndarray:
-    """Read a TensorFile. With `dtype`, the payload is converted into one
-    array of that dtype, _READ_CHUNK elements at a time, so the stored dtype
-    is never held whole alongside it."""
+    """Read a TensorFile into one array of `dtype` (default: the stored
+    dtype), through a buffer of _READ_CHUNK elements, so the stored dtype is
+    never held whole alongside a conversion."""
     with open(path, "rb") as f:
         magic = f.read(4)
         if magic != TENSOR_MAGIC:
@@ -105,13 +105,23 @@ def read_tensor(path, dtype=None) -> np.ndarray:
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size != expected:
             raise FormatError(f"{path}: payload length {size} != expected {expected}")
-        if dtype is None:
-            return np.fromfile(f, dtype=stored, count=count).reshape(dims)
-        out = np.empty(count, dtype=dtype)
+        # not `dtype or stored`: a plain np.dtype is falsy
+        out = np.empty(count, dtype=stored if dtype is None else dtype)
+        buf = np.empty(min(_READ_CHUNK, count), dtype=stored)
         for start in range(0, count, _READ_CHUNK):
-            n = min(_READ_CHUNK, count - start)
-            out[start : start + n] = np.fromfile(f, dtype=stored, count=n)
+            chunk = buf[: min(_READ_CHUNK, count - start)]
+            if f.readinto(chunk) != chunk.nbytes:
+                raise FormatError(f"{path}: payload shrank while being read")
+            out[start : start + chunk.size] = chunk
         return out.reshape(dims)
+
+
+def _table_json(table: ClassTable) -> dict:
+    return {"names": list(table.names), "is_thing": list(table.is_thing)}
+
+
+def _table_from_json(meta) -> ClassTable:
+    return ClassTable(tuple(meta["names"]), tuple(meta["is_thing"]))
 
 
 def _sidecar(path) -> Path:
@@ -128,10 +138,7 @@ def write_panoptic(path, pmap: PanopticMap) -> None:
         raise ValueError("panoptic files hold only the default void class")
     sidecar = {
         "instance_to_class": {str(k): int(v) for k, v in pmap.instance_to_class.items()},
-        "class_table": {
-            "names": list(pmap.class_table.names),
-            "is_thing": list(pmap.class_table.is_thing),
-        },
+        "class_table": _table_json(pmap.class_table),
         "void_id": 0,
     }
     _write_files({
@@ -146,10 +153,7 @@ def read_panoptic(path) -> PanopticMap:
         raise FormatError(f"{path}: panoptic instance map must be 3D (N, H, W)")
     try:
         meta = json.loads(_sidecar(path).read_text())
-        table = ClassTable(
-            tuple(meta["class_table"]["names"]),
-            tuple(meta["class_table"]["is_thing"]),
-        )
+        table = _table_from_json(meta["class_table"])
         mapping = {int(k): int(v) for k, v in meta["instance_to_class"].items()}
     except JSON_FIELD_ERRORS as exc:
         raise FormatError(f"{_sidecar(path)}: bad sidecar: {exc}") from exc
@@ -157,14 +161,14 @@ def read_panoptic(path) -> PanopticMap:
 
 
 def write_class_table(path, table: ClassTable) -> None:
-    payload = {"names": list(table.names), "is_thing": list(table.is_thing)}
-    _write_files({path: [json.dumps(payload, indent=1, sort_keys=True).encode()]})
+    text = json.dumps(_table_json(table), indent=1, sort_keys=True)
+    _write_files({path: [text.encode()]})
 
 
 def read_class_table(path) -> ClassTable:
     try:
         meta = json.loads(Path(path).read_text())
-        return ClassTable(tuple(meta["names"]), tuple(meta["is_thing"]))
+        return _table_from_json(meta)
     except JSON_FIELD_ERRORS as exc:
         raise FormatError(f"{path}: bad class table: {exc}") from exc
 

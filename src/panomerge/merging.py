@@ -8,6 +8,7 @@ query index, so IDs are consistent across views by construction.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -41,8 +42,8 @@ class MergeConfig:
             0.0 <= self.confidence_prefilter <= 1.0
         ):
             raise ValueError("confidence_prefilter must lie in [0, 1]")
-        if not self.penalty > 1.0:
-            raise ValueError("penalty must exceed 1")
+        if not 1.0 < self.penalty < math.inf:
+            raise ValueError("penalty must be finite and exceed 1")
         if self.solver not in ("anneal", "exact"):
             raise ValueError(f"unknown solver {self.solver!r}")
 
@@ -55,9 +56,10 @@ class BaselineConfig:
     vote_support_threshold: float = 0.8
 
     def __post_init__(self):
-        for v in (self.confidence_threshold, self.vote_support_threshold):
+        for name in ("confidence_threshold", "vote_support_threshold"):
+            v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ValueError("thresholds must lie in [0, 1]")
+                raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
 def _empty_map(masks: SoftMaskSet) -> PanopticMap:

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -12,7 +13,8 @@ from panomerge.io import read_panoptic, read_tensor, write_panoptic, write_tenso
 from panomerge.keyframe import FrameDescriptors, fps_select
 from panomerge.masks import PanopticMap
 from panomerge.merging import BaselineConfig, MergeConfig, merge_qubo
-from panomerge.synthgen import SceneSpec
+from panomerge.qubo import AnnealConfig
+from panomerge.synthgen import CorruptionSpec, SceneSpec
 
 
 def run(args):
@@ -71,6 +73,103 @@ class TestLibraryDefaults:
         assert run(["fps", path]) == 0
         selected = [int(t) for t in capsys.readouterr().out.split()]
         assert selected == fps_select(FrameDescriptors(vectors))
+
+
+class Spied(Exception):
+    """Raised by a spied library call, so the command stops there."""
+
+
+def optional_flags(command):
+    """The long options of a subcommand, bar --help."""
+    parser = cli.build_parser()
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = sub.choices[command]._actions
+    flags = {s for a in actions for s in a.option_strings if s.startswith("--")}
+    return flags - {"--help"}
+
+
+ANNEAL_FLAGS = ["--seed", "3", "--sweeps", "20", "--restarts", "2", "--cooling", "0.9"]
+ANNEAL = AnnealConfig(seed=3, cooling_rate=0.9, sweeps=20, restarts=2)
+
+
+class TestFlagsReachFields:
+    """Each optional flag, given a value other than the library's default,
+    reaches its own field of the config that the library call receives."""
+
+    CASES = {
+        "synth": (
+            "generate_scene",
+            ["--seed", "7", "--views", "4", "--height", "40", "--width", "44",
+             "--things", "5", "--stuff", "3", "--world", "80",
+             "--duplicate-rate", "0.3", "--duplicate-count", "3",
+             "--fragment-rate", "0.2", "--boundary-noise", "2",
+             "--softness", "1.5", "--class-noise", "0.4",
+             "--view-gain-noise", "0.1"],
+            SceneSpec(
+                seed=7, num_views=4, height=40, width=44, num_things=5,
+                num_stuff=3, world_size=80,
+                corruption=CorruptionSpec(
+                    duplicate_rate=0.3, duplicate_count=3, fragment_rate=0.2,
+                    boundary_noise_px=2, softness=1.5, class_noise=0.4,
+                    view_gain_noise=0.1,
+                ),
+            ),
+        ),
+        "merge": (
+            "merge_qubo",
+            ["--lambda-p", "3", "--void-threshold", "0.4", "--prefilter", "0.2",
+             "--solver", "exact", *ANNEAL_FLAGS],
+            MergeConfig(
+                penalty=3.0, void_threshold=0.4, confidence_prefilter=0.2,
+                solver="exact", anneal=ANNEAL,
+            ),
+        ),
+        "merge-baseline": (
+            "merge_baseline",
+            ["--conf-threshold", "0.3", "--vote-threshold", "0.6"],
+            BaselineConfig(confidence_threshold=0.3, vote_support_threshold=0.6),
+        ),
+        "solve-qubo": ("solve_anneal", ANNEAL_FLAGS, ANNEAL),
+    }
+
+    @pytest.mark.parametrize("command", sorted(CASES))
+    def test_every_flag_reaches_its_field(
+        self, command, scene_dir, tmp_path, monkeypatch
+    ):
+        name, flags, expected = self.CASES[command]
+        seen = []
+
+        def spy(*args):
+            seen.append(args[-1])  # the spec or config, passed last
+            raise Spied
+
+        monkeypatch.setattr(cli, name, spy)
+        instance = tmp_path / "q.json"
+        instance.write_text(json.dumps({"linear": [1.0], "quadratic": [[0.0]]}))
+        masks = [scene_dir / "masks.pmt", scene_dir / "classprobs.pmt"]
+        inputs = {
+            "synth": ["--out", tmp_path / "s"],
+            "merge": [*masks, "--out", tmp_path / "m.pmt"],
+            "merge-baseline": [*masks, "--out", tmp_path / "b.pmt"],
+            "solve-qubo": [instance],
+        }[command]
+        with pytest.raises(Spied):
+            run([command, *inputs, *flags])
+        assert seen == [expected]
+        # every optional flag that sets a field is given above
+        given = {f for f in flags if f.startswith("--")}
+        assert given == optional_flags(command) - {"--out", "--exact"}
+
+    @pytest.mark.parametrize(
+        "command",
+        ["synth", "merge", "merge-baseline", "eval-pq", "uplift", "render-labels",
+         "fps", "solve-qubo"],
+    )
+    def test_help_exits_0(self, command, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([command, "--help"])
+        assert exit_.value.code == 0
+        assert capsys.readouterr().out.startswith(f"usage: panomerge {command}")
 
 
 class TestSynthAndMerge:
@@ -143,6 +242,28 @@ class TestSynthAndMerge:
         )
         assert code == 2
         assert "confidence_prefilter" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "command, flags, message",
+        [
+            ("merge-baseline", ["--conf-threshold", "2"],
+             "confidence_threshold must lie in [0, 1], got 2.0"),
+            ("merge-baseline", ["--vote-threshold", "-1"],
+             "vote_support_threshold must lie in [0, 1], got -1.0"),
+            ("merge", ["--lambda-p", "inf"], "penalty must be finite and exceed 1"),
+        ],
+    )
+    def test_bad_config_is_exit_2_before_any_read(
+        self, tmp_path, capsys, command, flags, message
+    ):
+        missing = tmp_path / "missing"
+        code = run(
+            [command, missing / "m.pmt", missing / "c.pmt",
+             "--out", tmp_path / "x.pmt", *flags]
+        )
+        assert code == 2
+        assert message in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
 
     def test_negative_seed_is_exit_2_and_writes_nothing(
         self, scene_dir, tmp_path, capsys

@@ -240,3 +240,42 @@ def test_detects_mask_set_construction():
 def test_mask_sets_built_only_at_entry_points(path):
     built = mask_set_constructions(path.read_text())
     assert {(path.name, n) for n in built} <= MASK_SET_ENTRIES
+
+
+def copied_defaults(source: str) -> list[str]:
+    """The `default=` values of `add_argument` calls that read a name, such as
+    `SceneSpec.num_views` or `DEFAULT_PENALTY`: a library default copied into
+    the CLI. `argparse.SUPPRESS` leaves the default to the library."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        if ast.unparse(node.func).split(".")[-1] != "add_argument":
+            continue
+        for k in node.keywords:
+            value = ast.unparse(k.value)
+            if k.arg != "default" or value == "argparse.SUPPRESS":
+                continue
+            if any(isinstance(n, ast.Name) for n in ast.walk(k.value)):
+                found.append(value)
+    return found
+
+
+def test_detects_copied_default():
+    source = (
+        "spec = SceneSpec\n"
+        "p.add_argument('--views', type=int, default=SceneSpec.num_views)\n"
+        "p.add_argument('--seed', type=int, default=spec.seed)\n"
+        "p.add_argument('--lambda-p', type=float, default=DEFAULT_PENALTY)\n"
+        "p.add_argument('--k', type=int, default=argparse.SUPPRESS)\n"
+        "p.add_argument('--view', type=int, default=None)\n"
+        "p.add_argument('--out', required=True)\n"
+        "p.set_defaults(func=cmd_synth)\n"
+    )
+    assert copied_defaults(source) == [
+        "SceneSpec.num_views", "spec.seed", "DEFAULT_PENALTY"
+    ]
+
+
+def test_cli_copies_no_library_default():
+    assert copied_defaults((SRC / "cli.py").read_text()) == []

@@ -1,8 +1,10 @@
 import json
+import os
 import struct
 import tempfile
 import tracemalloc
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -73,6 +75,16 @@ class TestTensorFile:
         assert peak <= 1.1 * arr.nbytes
         assert np.array_equal(back, arr)
         assert back.flags.writeable
+
+    def test_payload_shrinking_mid_read_is_format_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "short.pmt"
+        path.write_bytes(b"PMT1" + struct.pack("<BBI", 1, 1, 4) + b"\0" * 8)
+        stat = os.fstat  # the size check sees the 4 floats the header promises
+        monkeypatch.setattr(
+            pio.os, "fstat", lambda fd: SimpleNamespace(st_size=stat(fd).st_size + 8)
+        )
+        with pytest.raises(FormatError, match="shrank"):
+            read_tensor(path)
 
     @pytest.mark.parametrize("seed", range(10))
     def test_read_into_dtype_matches_astype(self, tmp_path, seed):

@@ -377,3 +377,19 @@ class TestMergeBaseline:
             vote_support_threshold=vote_threshold,
         )
         assert_same_map(merge_baseline(masks, cfg), dense_merge_baseline(masks, cfg))
+
+
+class TestConfigs:
+    @pytest.mark.parametrize("penalty", [1.0, np.inf, np.nan])
+    def test_penalty_rule_matches_qubo_instance(self, penalty):
+        message = "penalty must be finite and exceed 1"
+        with pytest.raises(ValueError, match=message):
+            MergeConfig(penalty=penalty)
+        with pytest.raises(ValueError, match=message):
+            QuboInstance(np.ones(1), np.zeros((1, 1)), penalty)
+
+    @pytest.mark.parametrize("name", ["confidence_threshold", "vote_support_threshold"])
+    @pytest.mark.parametrize("value", [-0.5, 2.0, np.nan])
+    def test_bad_threshold_is_named(self, name, value):
+        with pytest.raises(ValueError, match=rf"^{name} must lie in \[0, 1\], got"):
+            BaselineConfig(**{name: value})
