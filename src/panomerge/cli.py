@@ -49,10 +49,10 @@ def _add_anneal_flags(p: argparse.ArgumentParser) -> None:
 
 
 def _load_mask_set(masks_path: str, probs_path: str) -> SoftMaskSet:
-    values = pio.read_tensor(masks_path, dtype=np.float64)
     probs = pio.read_tensor(probs_path)
     table = pio.read_class_table(Path(probs_path).with_suffix(".json"))
-    return SoftMaskSet(values, probs, table)
+    # read and widened one row at a time, so no whole tensor is ever held
+    return SoftMaskSet(pio.read_tensor_rows(masks_path), probs, table)
 
 
 def cmd_synth(args) -> int:
@@ -61,7 +61,9 @@ def cmd_synth(args) -> int:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     pio.write_panoptic(out / "gt.pmt", gt)
-    pio.write_tensor(out / "masks.pmt", proposals.values.astype(np.float32))
+    # one row at a time, so no dense copy of the whole set is made
+    rows = (proposals.dense_rows([q]) for q in range(proposals.num_queries))
+    pio.write_tensor_rows(out / "masks.pmt", np.float32, proposals.shape, rows)
     pio.write_tensor(out / "classprobs.pmt", proposals.class_probs.astype(np.float32))
     pio.write_class_table(out / "classprobs.json", proposals.class_table)
     pio.write_splats(out / "splats.psw", splats)

@@ -64,20 +64,67 @@ def _write_files(files: dict) -> None:
             tmp.unlink(missing_ok=True)
 
 
-def _tensor_chunks(array: np.ndarray) -> list:
-    array = np.asarray(array)
-    code = _CODES.get(array.dtype)
+def _tensor_chunks(dtype, shape: tuple, chunks):
+    """The bytes-like chunks of a TensorFile of `dtype` and `shape`: its
+    header, then each of `chunks` in the stored dtype, converted one at a
+    time. Raises once the chunks are exhausted if their elements do not
+    fill `shape`, so `_write_files` leaves no such file behind."""
+    code = _CODES.get(np.dtype(dtype))
     if code is None:
-        raise ValueError(f"unsupported tensor dtype {array.dtype}")
-    if array.ndim > 255:
+        raise ValueError(f"unsupported tensor dtype {dtype}")
+    if len(shape) > 255:
         raise ValueError("too many dimensions")
-    dims = struct.pack(f"<BB{array.ndim}I", code, array.ndim, *array.shape)
-    # written through the buffer protocol, so the payload is not copied again
-    return [TENSOR_MAGIC, dims, np.ascontiguousarray(array, dtype=_DTYPES[code])]
+    yield TENSOR_MAGIC + struct.pack(f"<BB{len(shape)}I", code, len(shape), *shape)
+    count = 0
+    for chunk in chunks:
+        # written through the buffer protocol, so the payload is not copied again
+        chunk = np.ascontiguousarray(chunk, dtype=_DTYPES[code])
+        count += chunk.size
+        yield chunk
+    if count != math.prod(shape):
+        raise ValueError(f"{count} tensor elements do not fill shape {shape}")
 
 
 def write_tensor(path, array: np.ndarray) -> None:
-    _write_files({path: _tensor_chunks(array)})
+    array = np.asarray(array)
+    _write_files({path: _tensor_chunks(array.dtype, array.shape, [array])})
+
+
+def write_tensor_rows(path, dtype, shape: tuple, rows) -> None:
+    """Write a TensorFile of `dtype` and `shape` whose rows (slices along the
+    first axis) are the arrays `rows` yields, each converted on its own, so
+    the whole tensor is never held."""
+    _write_files({path: _tensor_chunks(dtype, shape, rows)})
+
+
+def _read_tensor_header(f, path) -> tuple[np.dtype, tuple]:
+    """The stored dtype and dims of the TensorFile open as `f`, leaving `f`
+    at its payload, whose length is checked against the dims."""
+    magic = f.read(4)
+    if magic != TENSOR_MAGIC:
+        raise FormatError(f"{path}: bad tensor magic {magic!r}")
+    header = f.read(2)
+    if len(header) != 2:
+        raise FormatError(f"{path}: truncated header")
+    code, ndim = struct.unpack("<BB", header)
+    if code not in _DTYPES:
+        raise FormatError(f"{path}: unknown dtype code {code}")
+    raw = f.read(4 * ndim)
+    if len(raw) != 4 * ndim:
+        raise FormatError(f"{path}: truncated dims")
+    dims = struct.unpack(f"<{ndim}I", raw)
+    stored = _DTYPES[code]
+    expected = math.prod(dims) * stored.itemsize
+    # checked before any caller allocates, so forged dims cannot exhaust memory
+    size = os.fstat(f.fileno()).st_size - f.tell()
+    if size != expected:
+        raise FormatError(f"{path}: payload length {size} != expected {expected}")
+    return stored, dims
+
+
+def _read_exactly(f, buf: np.ndarray, path) -> None:
+    if f.readinto(buf) != buf.nbytes:
+        raise FormatError(f"{path}: payload shrank while being read")
 
 
 def read_tensor(path, dtype=None) -> np.ndarray:
@@ -85,35 +132,31 @@ def read_tensor(path, dtype=None) -> np.ndarray:
     dtype), through a buffer of _READ_CHUNK elements, so the stored dtype is
     never held whole alongside a conversion."""
     with open(path, "rb") as f:
-        magic = f.read(4)
-        if magic != TENSOR_MAGIC:
-            raise FormatError(f"{path}: bad tensor magic {magic!r}")
-        header = f.read(2)
-        if len(header) != 2:
-            raise FormatError(f"{path}: truncated header")
-        code, ndim = struct.unpack("<BB", header)
-        if code not in _DTYPES:
-            raise FormatError(f"{path}: unknown dtype code {code}")
-        raw = f.read(4 * ndim)
-        if len(raw) != 4 * ndim:
-            raise FormatError(f"{path}: truncated dims")
-        dims = struct.unpack(f"<{ndim}I", raw)
-        stored = _DTYPES[code]
+        stored, dims = _read_tensor_header(f, path)
         count = math.prod(dims)
-        expected = count * stored.itemsize
-        # checked before allocating, so forged dims cannot exhaust memory
-        size = os.fstat(f.fileno()).st_size - f.tell()
-        if size != expected:
-            raise FormatError(f"{path}: payload length {size} != expected {expected}")
         # not `dtype or stored`: a plain np.dtype is falsy
         out = np.empty(count, dtype=stored if dtype is None else dtype)
         buf = np.empty(min(_READ_CHUNK, count), dtype=stored)
         for start in range(0, count, _READ_CHUNK):
             chunk = buf[: min(_READ_CHUNK, count - start)]
-            if f.readinto(chunk) != chunk.nbytes:
-                raise FormatError(f"{path}: payload shrank while being read")
+            _read_exactly(f, chunk, path)
             out[start : start + chunk.size] = chunk
         return out.reshape(dims)
+
+
+def read_tensor_rows(path):
+    """Yield the rows (slices along the first axis) of a TensorFile in the
+    stored dtype. Every row is read into the same buffer, which the next row
+    overwrites, so one row is held at a time. The file is opened, and its
+    header checked, when the first row is asked for."""
+    with open(path, "rb") as f:
+        stored, dims = _read_tensor_header(f, path)
+        if not dims:
+            raise FormatError(f"{path}: a 0-d tensor has no rows")
+        row = np.empty(dims[1:], dtype=stored)
+        for _ in range(dims[0]):
+            _read_exactly(f, row.reshape(-1), path)
+            yield row
 
 
 def _table_json(table: ClassTable) -> dict:
@@ -142,7 +185,7 @@ def write_panoptic(path, pmap: PanopticMap) -> None:
         "void_id": 0,
     }
     _write_files({
-        path: _tensor_chunks(inst.astype(np.uint16)),
+        path: _tensor_chunks(np.uint16, inst.shape, [inst]),
         _sidecar(path): [json.dumps(sidecar, indent=1, sort_keys=True).encode()],
     })
 

@@ -1,15 +1,17 @@
 """Core containers for soft multi-view mask proposals and panoptic label maps.
 
-All tensors are dense numpy arrays. Mask proposals are stored as a single
-(m, N, H, W) float array of per-pixel probabilities in [0, 1], from which
-`SoftMaskSet` derives one index of nonzero pixels (`support`); label maps are
-(N, H, W) int32 arrays with instance ID 0 reserved for void.
+Mask proposals are per-pixel probabilities in [0, 1] over N views of H x W
+pixels. `SoftMaskSet` takes them as dense rows and stores only each row's
+nonzero pixels (`support`, a CSR index as in `scipy.sparse`) and its sum
+(`area`); its `values` rebuild the dense (m, N, H, W) array on each access.
+Label maps are dense (N, H, W) int32 arrays with instance ID 0 reserved for
+void.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
@@ -64,7 +66,7 @@ def nonzero_rows(
 
 
 class MaskSupport(NamedTuple):
-    """Each proposal's nonzero pixels, derived from the dense values.
+    """Each proposal's nonzero pixels, the stored form of a `SoftMaskSet`.
 
     Row q's flat pixel indices into N * H * W, ascending, and their values are
     pixels[indptr[q]:indptr[q + 1]] and values[indptr[q]:indptr[q + 1]];
@@ -77,67 +79,124 @@ class MaskSupport(NamedTuple):
     bits: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SoftMaskSet:
     """A set of m soft mask proposals over N views of H x W pixels.
 
-    values:       (m, N, H, W) float64 array, entries in [0, 1]. Stored
-                  read-only, so the derived `support` cannot go stale; a
-                  float64 array is stored as given, not copied, so the
-                  caller's array becomes read-only too.
+    values:       a dense (m, N, H, W) array, or any iterable of m (N, H, W)
+                  rows, entries in [0, 1]. Each row is widened to float64 and
+                  checked on its own, and only its nonzero pixels are kept
+                  (`support`). No row is referenced once it has been read, so
+                  a caller may pass one reused buffer as every row.
     class_probs:  (m, C) float64 array of finite per-class scores. Rows need
                   not sum to one: a proposal's class is derived as the argmax
                   of its row, and no class map is stored.
+
+    Stored: `shape` (m, N, H, W), `support`, and `area`, each row's sum taken
+    while the row was dense (a sum over its nonzeros alone rounds
+    differently). The stored arrays are read-only. No dense array is kept:
+    `values` rebuilds one on each access. The stored form costs 16 bytes per
+    nonzero pixel (index and value) plus one bit per pixel, so it is smaller
+    than the dense float64 array only while fewer than about half of the
+    pixels are nonzero, and twice its size when all are.
     """
 
-    values: np.ndarray
     class_probs: np.ndarray
     class_table: ClassTable
+    shape: tuple[int, int, int, int]
+    support: MaskSupport
+    area: np.ndarray
 
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        probs = np.asarray(self.class_probs, dtype=np.float64)
-        if values.ndim != 4:
+    def __init__(self, values, class_probs, class_table: ClassTable):
+        object.__setattr__(self, "class_probs", class_probs)
+        object.__setattr__(self, "class_table", class_table)
+        self.__post_init__(values)
+
+    def __post_init__(self, values):
+        if isinstance(values, np.ndarray) and values.ndim != 4:
             raise ValueError("mask values must have shape (m, N, H, W)")
-        if min(values.shape) < 1:
+        shape, area, bits, nonzero = None, [], [], []
+        for row in values:
+            row = np.asarray(row, dtype=np.float64)
+            shape = row.shape if shape is None else shape
+            if row.ndim != 3 or row.shape != shape:
+                raise ValueError("mask values must have shape (m, N, H, W)")
+            if row.size == 0:
+                raise ValueError("m, N, H, W must all be >= 1")
+            # written so that NaN fails it too; values above 1 are nonzero,
+            # so they are checked once all nonzero values are joined
+            if not row.min() >= 0.0:
+                raise ValueError("mask values must lie in [0, 1]")
+            flat = row.ravel()
+            nz = flat > 0.0
+            area.append(flat.sum())
+            bits.append(np.packbits(nz))
+            nonzero.append(flat[nz])
+        if shape is None:
             raise ValueError("m, N, H, W must all be >= 1")
-        # written so that NaN fails it too
-        if not (values.min() >= 0.0 and values.max() <= 1.0):
-            raise ValueError("mask values must lie in [0, 1]")
-        if probs.ndim != 2 or probs.shape[0] != values.shape[0]:
+        m = len(area)
+        probs = np.asarray(self.class_probs, dtype=np.float64)
+        if probs.ndim != 2 or probs.shape[0] != m:
             raise ValueError("class_probs must have exactly m rows")
         if probs.shape[1] != self.class_table.num_classes:
             raise ValueError("class_probs columns must match class table size")
         if not np.isfinite(probs).all():
             raise ValueError("class_probs must be finite")
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
+        indptr = np.zeros(m + 1, dtype=np.intp)
+        np.cumsum([v.size for v in nonzero], out=indptr[1:])
+        nonzero = np.concatenate(nonzero)
+        if not nonzero.max(initial=0.0) <= 1.0:
+            raise ValueError("mask values must lie in [0, 1]")
+        # The pixels are unpacked from the bits only once the values are
+        # joined and their per-row pieces freed: no joined array is ever held
+        # beside its pieces, so building peaks near what the set holds.
+        bits = np.stack(bits)
+        pixels = np.empty(indptr[-1], dtype=np.intp)
+        size = math.prod(shape)
+        for q in range(m):
+            nz = np.unpackbits(bits[q], count=size).view(bool)
+            pixels[indptr[q] : indptr[q + 1]] = nz.nonzero()[0]
+        support = MaskSupport(indptr, pixels, nonzero, bits)
+        area = np.array(area)
+        for a in (*support, area):
+            a.flags.writeable = False
         object.__setattr__(self, "class_probs", probs)
+        object.__setattr__(self, "shape", (m, *shape))
+        object.__setattr__(self, "support", support)
+        object.__setattr__(self, "area", area)
 
-    @cached_property
-    def support(self) -> MaskSupport:
-        """The nonzero pixels of every proposal, built in one pass on first use."""
-        flat = self.values.reshape(self.num_queries, -1)
-        nz = flat > 0.0
-        bits = np.packbits(nz, axis=1)
-        bits.flags.writeable = False
-        return MaskSupport(*nonzero_rows(flat, nz), bits)
+    def dense_rows(self, queries) -> np.ndarray:
+        """The dense (len(queries), N, H, W) float64 values of the given rows."""
+        sup = self.support
+        out = np.zeros((len(queries), *self.shape[1:]))
+        flat = out.reshape(len(queries), -1)
+        for k, q in enumerate(queries):
+            lo, hi = sup.indptr[q], sup.indptr[q + 1]
+            flat[k, sup.pixels[lo:hi]] = sup.values[lo:hi]
+        return out
+
+    @property
+    def values(self) -> np.ndarray:
+        """The dense (m, N, H, W) float64 values, rebuilt from `support` on
+        each access: O(m * N * H * W) time and memory. No stage of the
+        pipeline reads it."""
+        return self.dense_rows(range(self.num_queries))
 
     @property
     def num_queries(self) -> int:
-        return self.values.shape[0]
+        return self.shape[0]
 
     @property
     def num_views(self) -> int:
-        return self.values.shape[1]
+        return self.shape[1]
 
     @property
     def height(self) -> int:
-        return self.values.shape[2]
+        return self.shape[2]
 
     @property
     def width(self) -> int:
-        return self.values.shape[3]
+        return self.shape[3]
 
 
 @dataclass(frozen=True)
@@ -214,7 +273,7 @@ def weighted_area(masks: SoftMaskSet, query: int) -> float:
     """Sum of a proposal's soft values over all views and pixels."""
     if not 0 <= query < masks.num_queries:
         raise IndexError(f"query {query} out of range for m={masks.num_queries}")
-    return float(masks.values[query].sum())
+    return float(masks.dense_rows([query])[0].sum())
 
 
 def pairwise_overlap(masks: SoftMaskSet, i: int, j: int) -> float:
@@ -224,4 +283,5 @@ def pairwise_overlap(masks: SoftMaskSet, i: int, j: int) -> float:
         raise IndexError(f"query {i} out of range for m={m}")
     if not 0 <= j < m:
         raise IndexError(f"query {j} out of range for m={m}")
-    return float(np.minimum(masks.values[i], masks.values[j]).sum())
+    a, b = masks.dense_rows([i, j])
+    return float(np.minimum(a, b).sum())

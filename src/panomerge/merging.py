@@ -62,36 +62,37 @@ class BaselineConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
 
 
-def _empty_map(masks: SoftMaskSet) -> PanopticMap:
-    shape = (masks.num_views, masks.height, masks.width)
-    return PanopticMap.from_instances(
-        np.zeros(shape, dtype=np.int32), {}, masks.class_table
-    )
-
-
 def _scatter_argmax(
     masks: SoftMaskSet, queries: np.ndarray, weights: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Per flat pixel, the largest of weights[k] * values[queries[k]] over k
-    and the first k attaining it: np.argmax over the stacked rows, ties and
-    all-zero pixels (value 0, winner 0) included, for nonnegative weights.
+    """Per flat pixel, the winner's own value values[queries[k]] and the
+    winner k, the first k attaining the largest of weights[k] *
+    values[queries[k]]: np.argmax over the stacked weighted rows, ties and
+    all-zero pixels included, for nonnegative weights.
 
-    Starts from value 0 and winner 0, visits the queries in order and takes a
-    pixel only on a strictly larger value, so each query touches only its
-    nonzero pixels (read from `masks.support`) and no (k, pixels) stack is
-    built.
+    Starts from weighted value 0 and winner 0, visits the queries in order and
+    takes a pixel only on a strictly larger weighted value, so each query
+    touches only its nonzero pixels (read from `masks.support`) and no
+    (k, pixels) stack is built. A pixel no query takes keeps winner 0 and
+    queries[0]'s value there, which is nonzero where weights[0] * value is 0.
     """
     sup = masks.support
     ptr = sup.indptr.tolist()
-    best = np.zeros(masks.values[0].size, dtype=np.float64)
+    best = np.zeros(math.prod(masks.shape[1:]))
     winner = np.zeros(best.size, dtype=np.intp)
+    value = np.zeros(best.size)
+    q0 = queries[0]
+    value[sup.pixels[ptr[q0] : ptr[q0 + 1]]] = sup.values[ptr[q0] : ptr[q0 + 1]]
     for k, q in enumerate(queries.tolist()):
         idx = sup.pixels[ptr[q] : ptr[q + 1]]
-        vals = weights[k] * sup.values[ptr[q] : ptr[q + 1]]
+        raw = sup.values[ptr[q] : ptr[q + 1]]
+        vals = weights[k] * raw
         better = vals > best[idx]
-        best[idx[better]] = vals[better]
-        winner[idx[better]] = k
-    return best, winner
+        taken = idx[better]
+        best[taken] = vals[better]
+        winner[taken] = k
+        value[taken] = raw[better]
+    return value, winner
 
 
 def _assemble(
@@ -100,7 +101,7 @@ def _assemble(
     """Label each `labeled` pixel with instance winner + 1, where instance k + 1
     is query queries[k] and takes the argmax class of its row. Only instances
     that label a pixel get a class."""
-    instance_ids = np.where(labeled, winner + 1, 0).reshape(masks.values.shape[1:])
+    instance_ids = np.where(labeled, winner + 1, 0).reshape(masks.shape[1:])
     won = np.bincount(winner[labeled], minlength=queries.size)
     classes = masks.class_probs[queries].argmax(axis=1)
     to_class = {k + 1: int(classes[k]) for k in np.flatnonzero(won).tolist()}
@@ -135,9 +136,9 @@ def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMa
     chosen = keep[assignment.selected()]
     if chosen.size == 0:
         warnings.warn("no proposal was kept and selected; output is void")
-        return _empty_map(masks)
+        void = np.zeros(math.prod(masks.shape[1:]), dtype=np.intp)
+        return _assemble(masks, void.astype(bool), void, chosen)
 
-    # a weight of 1.0 leaves every value exactly as it is
     win_val, winner = _scatter_argmax(masks, chosen, np.ones(chosen.size))
     labeled = (win_val > 0.0) & (win_val >= cfg.void_threshold)
     return _assemble(masks, labeled, winner, chosen)
@@ -162,12 +163,11 @@ def merge_baseline(
     conf = masks.class_probs.max(axis=1)
     keep = np.flatnonzero(conf >= cfg.confidence_threshold)
     if keep.size == 0:
-        return _empty_map(masks)
+        void = np.zeros(math.prod(masks.shape[1:]), dtype=np.intp)
+        return _assemble(masks, void.astype(bool), void, keep)
 
     m, n = masks.num_queries, masks.num_views
-    flat = masks.values.reshape(m, -1)
-    _, winner = _scatter_argmax(masks, keep, conf[keep])
-    win_mask_val = np.take_along_axis(flat, keep[winner][None], axis=0)[0]
+    win_mask_val, winner = _scatter_argmax(masks, keep, conf[keep])
     labeled = (win_mask_val >= 0.5).reshape(n, -1)
     winner = winner.reshape(n, -1)
 

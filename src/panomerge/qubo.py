@@ -94,32 +94,37 @@ class AnnealConfig:
 def build_qubo(masks: SoftMaskSet, penalty: float = DEFAULT_PENALTY) -> QuboInstance:
     """Assemble the selection QUBO from a soft mask set.
 
-    linear[i] is the weighted area of proposal i; quadratic[i, j] the pairwise
-    fuzzy overlap sum_k min(M_ik, M_jk), computed once per unordered pair so
-    symmetry holds exactly.
+    linear[i] is the weighted area of proposal i (`masks.area`); quadratic[i, j]
+    the pairwise fuzzy overlap sum_k min(M_ik, M_jk), computed once per
+    unordered pair so symmetry holds exactly.
 
     The overlaps visit supports only (`masks.support`): packed nonzero bits
-    find the later proposals j whose support meets that of i, and the minimum
-    is summed over i's support alone (outside it the minimum is 0). Pairs with
-    disjoint supports stay exactly 0. The linear terms stay dense sums, whose
-    rounding a sum over the nonzeros alone would not reproduce.
+    find the pairs whose supports meet, and for each such pair i < j the
+    minimum is summed over i's support alone (outside it the minimum is 0),
+    reading j's values from one buffer that holds row j scattered. Pairs with
+    disjoint supports stay exactly 0.
     """
     m = masks.num_queries
-    flat = masks.values.reshape(m, -1)
-    linear = flat.sum(axis=1)
-    quad = np.zeros((m, m), dtype=np.float64)
     sup = masks.support
     bits, ptr = sup.bits, sup.indptr.tolist()
+    meets = np.zeros((m, m), dtype=bool)  # meets[i, j]: i < j and supports meet
     for i in range(m - 1):
         cols = np.flatnonzero(bits[i])
-        js = i + 1 + np.flatnonzero((bits[i + 1 :, cols] & bits[i, cols]).any(axis=1))
-        if js.size:
+        meets[i, i + 1 :] = (bits[i + 1 :, cols] & bits[i, cols]).any(axis=1)
+    quad = np.zeros((m, m), dtype=np.float64)
+    row = np.zeros(math.prod(masks.shape[1:]))
+    for j in range(1, m):
+        earlier = np.flatnonzero(meets[:j, j]).tolist()
+        if not earlier:
+            continue
+        idx_j = sup.pixels[ptr[j] : ptr[j + 1]]
+        row[idx_j] = sup.values[ptr[j] : ptr[j + 1]]
+        for i in earlier:
             idx = sup.pixels[ptr[i] : ptr[i + 1]]
             vals = sup.values[ptr[i] : ptr[i + 1]]
-            ov = np.minimum(flat[js[:, None], idx], vals).sum(axis=1)
-            quad[i, js] = ov
-            quad[js, i] = ov
-    return QuboInstance(linear, quad, penalty)
+            quad[i, j] = quad[j, i] = np.minimum(row.take(idx), vals).sum()
+        row[idx_j] = 0.0
+    return QuboInstance(masks.area, quad, penalty)
 
 
 def objective(q: QuboInstance, u: np.ndarray) -> float:

@@ -261,10 +261,16 @@ def generate_scene(
                 _class_row(inst_class[iid], table.num_classes, cor.class_noise, rng)
             )
 
-    # SoftMaskSet stores this float64 array as given, so it is the only copy
-    values = np.zeros((len(views), spec.num_views, spec.height, spec.width))
-    for out, patches in zip(values, views):
-        for v, ys, xs, patch in patches:
-            out[v, ys, xs] = patch
-    proposals = SoftMaskSet(values, np.stack(prob_rows), table)
+    def rows():
+        """Each proposal's dense views, pasted into one reused buffer whose
+        pasted boxes are zeroed again once SoftMaskSet has read the row."""
+        row = np.zeros((spec.num_views, spec.height, spec.width))
+        for patches in views:
+            for v, ys, xs, patch in patches:
+                row[v, ys, xs] = patch
+            yield row
+            for v, ys, xs, _ in patches:
+                row[v, ys, xs] = 0.0
+
+    proposals = SoftMaskSet(rows(), np.stack(prob_rows), table)
     return gt, proposals, _splat_table(spec, windows)

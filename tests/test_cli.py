@@ -12,9 +12,9 @@ from panomerge.cli import main
 from panomerge.io import read_panoptic, read_tensor, write_panoptic, write_tensor
 from panomerge.keyframe import FrameDescriptors, fps_select
 from panomerge.masks import PanopticMap
-from panomerge.merging import BaselineConfig, MergeConfig, merge_qubo
-from panomerge.qubo import AnnealConfig
-from panomerge.synthgen import CorruptionSpec, SceneSpec
+from panomerge.merging import BaselineConfig, MergeConfig, merge_baseline, merge_qubo
+from panomerge.qubo import AnnealConfig, build_qubo
+from panomerge.synthgen import CorruptionSpec, SceneSpec, generate_scene
 
 
 def run(args):
@@ -332,6 +332,36 @@ class TestSynthAndMerge:
              "--out", tmp_path / "x.pmt"]
         )
         assert code == 3
+
+    def test_synth_writes_the_whole_array_encoding(self, tmp_path):
+        # synth writes the proposals one float32 row at a time; the bytes are
+        # those of the whole (m, N, H, W) array cast to float32 and written
+        flags = {"--seed": 4, "--softness": 1.0, "--view-gain-noise": 0.3,
+                 "--duplicate-rate": 0.5, "--boundary-noise": 2}
+        assert run(["synth", "--out", tmp_path / "s", *sum(flags.items(), ())]) == 0
+        cor = CorruptionSpec(softness=1.0, view_gain_noise=0.3,
+                             duplicate_rate=0.5, boundary_noise_px=2)
+        _, props, _ = generate_scene(SceneSpec(seed=4, corruption=cor))
+        write_tensor(tmp_path / "whole.pmt", props.values.astype(np.float32))
+        written = (tmp_path / "s" / "masks.pmt").read_bytes()
+        assert written == (tmp_path / "whole.pmt").read_bytes()
+
+
+def test_pipeline_never_reads_dense_values(tmp_path, no_dense_values):
+    cor = CorruptionSpec(duplicate_rate=0.5, fragment_rate=0.3, boundary_noise_px=2,
+                         softness=1.0, view_gain_noise=0.3)
+    _, props, _ = generate_scene(SceneSpec(seed=2, corruption=cor))
+    with pytest.raises(AssertionError, match="values was read"):
+        props.values
+    build_qubo(props)
+    merge_qubo(props)
+    merge_qubo(props, MergeConfig(confidence_prefilter=0.9))
+    merge_baseline(props)
+    scene = tmp_path / "scene"
+    assert run(["synth", "--out", scene, "--seed", 2, "--softness", 1.0]) == 0
+    masks = [scene / "masks.pmt", scene / "classprobs.pmt"]
+    assert run(["merge", *masks, "--out", tmp_path / "q.pmt"]) == 0
+    assert run(["merge-baseline", *masks, "--out", tmp_path / "b.pmt"]) == 0
 
 
 class TestEvalPq:

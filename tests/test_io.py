@@ -25,10 +25,12 @@ from panomerge.io import (
     read_panoptic,
     read_splats,
     read_tensor,
+    read_tensor_rows,
     write_class_table,
     write_panoptic,
     write_splats,
     write_tensor,
+    write_tensor_rows,
 )
 
 
@@ -40,6 +42,15 @@ def random_tensor(rng):
         return (rng.random(dims).astype(np.float32) * 100).astype(np.float32)
     info = np.iinfo(dtype)
     return rng.integers(0, info.max, dims).astype(dtype)
+
+
+def _tensor_bytes(tmp_path, arr):
+    """The bytes `write_tensor` writes for `arr`."""
+    path = tmp_path / "whole.pmt"
+    write_tensor(path, arr)
+    data = path.read_bytes()
+    path.unlink()
+    return data
 
 
 class TestTensorFile:
@@ -111,9 +122,63 @@ class TestTensorFile:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        held = loaded.values.nbytes + loaded.class_probs.nbytes
+        # what the set holds is its sparse form; on this fully dense data
+        # that is twice the dense float64 array
+        held = sum(a.nbytes for a in loaded.support) + loaded.area.nbytes
+        held += loaded.class_probs.nbytes
         assert peak <= 1.1 * held
         assert np.array_equal(loaded.values, read_tensor(masks).astype(np.float64))
+
+    @pytest.mark.parametrize("seed", range(10))
+    def test_rows_round_trip_through_one_buffer(self, tmp_path, seed):
+        arr = random_tensor(np.random.default_rng(seed))
+        path = tmp_path / "a.pmt"
+        write_tensor_rows(path, arr.dtype, arr.shape, iter(arr))
+        assert path.read_bytes() == _tensor_bytes(tmp_path, arr)
+        rows = list(read_tensor_rows(path))
+        assert len(rows) == arr.shape[0]
+        assert all(r is rows[0] for r in rows)  # each row overwrites the last
+        copies = [r.copy() for r in read_tensor_rows(path)]
+        assert all(c.dtype == arr.dtype for c in copies)
+        assert np.array_equal(np.stack(copies), arr)
+
+    def test_rows_widen_on_write(self, tmp_path):
+        arr = np.random.default_rng(0).random((4, 3, 5))
+        path = tmp_path / "a.pmt"
+        write_tensor_rows(path, np.float32, arr.shape, (row for row in arr))
+        assert path.read_bytes() == _tensor_bytes(tmp_path, arr.astype(np.float32))
+
+    @pytest.mark.parametrize("rows", [2, 4], ids=["short", "long"])
+    def test_rows_that_miss_the_shape_write_nothing(self, tmp_path, rows):
+        path = tmp_path / "a.pmt"
+        with pytest.raises(ValueError, match="do not fill shape"):
+            write_tensor_rows(path, np.float32, (3, 2), iter(np.zeros((rows, 2))))
+        assert list(tmp_path.iterdir()) == []
+
+    def test_rows_of_0d_tensor_rejected(self, tmp_path):
+        path = tmp_path / "a.pmt"
+        write_tensor(path, np.float32(0.5))
+        assert read_tensor(path) == np.float32(0.5)
+        with pytest.raises(FormatError, match="no rows"):
+            next(read_tensor_rows(path))
+
+    def test_rows_check_the_header_as_read_tensor_does(self, tmp_path):
+        path = tmp_path / "bad.pmt"
+        path.write_bytes(b"PMT1" + struct.pack("<BBI", 1, 1, 4) + b"\0" * 8)
+        with pytest.raises(FormatError, match="payload length"):
+            next(read_tensor_rows(path))
+
+    def test_rows_payload_shrinking_mid_read_is_format_error(self, tmp_path, monkeypatch):
+        path = tmp_path / "short.pmt"
+        path.write_bytes(b"PMT1" + struct.pack("<BBII", 1, 2, 2, 2) + b"\0" * 8)
+        stat = os.fstat  # the size check sees the 4 floats the header promises
+        monkeypatch.setattr(
+            pio.os, "fstat", lambda fd: SimpleNamespace(st_size=stat(fd).st_size + 8)
+        )
+        rows = read_tensor_rows(path)
+        assert next(rows).tolist() == [0.0, 0.0]
+        with pytest.raises(FormatError, match="shrank"):
+            next(rows)
 
     def test_forged_dims_rejected_before_allocating(self, tmp_path):
         path = tmp_path / "forged.pmt"
@@ -393,6 +458,11 @@ class TestMalformedInput:
         path.write_bytes(data)
         try:
             read_tensor(path)
+        except READ_ERRORS:
+            pass
+        try:
+            for _ in read_tensor_rows(path):
+                pass
         except READ_ERRORS:
             pass
 

@@ -6,13 +6,15 @@ from hypothesis.extra.numpy import arrays
 
 from panomerge import (
     ClassTable,
+    MergeConfig,
     PanopticMap,
     SoftMaskSet,
+    merge_qubo,
     pairwise_overlap,
     weighted_area,
 )
 
-from conftest import make_mask_set, random_mask_set
+from conftest import make_mask_set, random_mask_set, rounding_values
 
 
 def brute_area(values, q):
@@ -177,15 +179,99 @@ class TestSupport:
         assert masks.support is masks.support
 
     def test_values_are_read_only(self):
-        values = np.full((1, 1, 2, 2), 0.5)
+        # Nothing of the caller's array is kept: writing to it, or to a rebuilt
+        # `values`, after construction changes no support, area or merge.
+        values = np.zeros((2, 1, 2, 2))
+        values[0, 0, 0] = 0.5
+        values[1, 0, :, 1] = 0.75
         masks = make_mask_set(values)
+        support, area = [a.copy() for a in masks.support], masks.area.copy()
+        cfg = MergeConfig(solver="exact")
+        before = merge_qubo(masks, cfg)
+        values[:] = 1.0
+        masks.values[:] = 1.0
+        for stored, kept in zip(masks.support, support):
+            np.testing.assert_array_equal(stored, kept)
+        np.testing.assert_array_equal(masks.area, area)
+        after = merge_qubo(masks, cfg)
+        np.testing.assert_array_equal(after.instance_ids, before.instance_ids)
+        assert after.instance_to_class == before.instance_to_class
+        # the stored arrays are shared by every consumer, so they are read-only
+        for stored in (*masks.support, masks.area):
+            with pytest.raises(ValueError):
+                stored[...] = 1
+
+
+def one_buffer(values):
+    """Each row of `values` in turn, copied into one reused buffer."""
+    row = np.empty(values.shape[1:])
+    for source in values:
+        row[...] = source
+        yield row
+        row[...] = np.nan  # a stored reference to the buffer would show this
+
+
+class TestRowsInput:
+    @settings(max_examples=300, deadline=None)
+    @given(rounding_values())
+    def test_rows_build_the_dense_arrays_set(self, values):
+        dense = make_mask_set(values)
+        rows = SoftMaskSet(one_buffer(values), dense.class_probs, dense.class_table)
+        for a, b in zip(rows.support, dense.support):
+            assert np.array_equal(a, b)
+        assert rows.shape == dense.shape == values.shape
+        # each area is the dense row sum, rounding included
+        flat = values.reshape(values.shape[0], -1)
+        assert np.array_equal(dense.area, flat.sum(axis=1))
+        assert np.array_equal(rows.area, flat.sum(axis=1))
+        assert np.array_equal(rows.values, values)
+        assert np.array_equal(dense.values, values)
+
+    def test_float32_rows_widen_exactly(self):
+        values = np.random.default_rng(0).random((3, 2, 5, 7), dtype=np.float32)
+        values[1] = 0.0
+        wide = make_mask_set(values.astype(np.float64))
+        narrow = make_mask_set(values)
+        for a, b in zip(narrow.support, wide.support):
+            assert np.array_equal(a, b) and a.dtype == b.dtype
+        assert np.array_equal(narrow.area, wide.area)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [np.zeros((1, 2, 2)), np.zeros((1, 2, 3))], [np.zeros((2, 2))]],
+        ids=["no rows", "ragged", "2-d row"],
+    )
+    def test_bad_rows_rejected(self, rows, simple_table):
         with pytest.raises(ValueError):
-            masks.values[0, 0, 0, 0] = 1.0
-        # a float64 array is stored as given, so the caller's array is locked too
-        with pytest.raises(ValueError):
-            values[0, 0, 0, 0] = 1.0
-        with pytest.raises(ValueError):
-            masks.support.values[:] = 1.0
+            SoftMaskSet(iter(rows), np.full((len(rows), 3), 0.5), simple_table)
+
+    @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2**-52, np.nan])
+    def test_out_of_range_value_in_a_later_row_rejected(self, bad, simple_table):
+        rows = [np.full((1, 2, 2), 0.5), np.full((1, 2, 2), 0.5)]
+        rows[1][0, 1, 1] = bad
+        with pytest.raises(ValueError, match=r"lie in \[0, 1\]"):
+            SoftMaskSet(rows, np.full((2, 3), 0.5), simple_table)
+
+
+class TestDenseOracles:
+    def test_oracles_densify_only_the_rows_they_read(
+        self, monkeypatch, no_dense_values
+    ):
+        values = np.random.default_rng(4).random((5, 2, 4, 4))
+        values[values < 0.5] = 0.0
+        masks = make_mask_set(values)
+        read = []
+        dense_rows = SoftMaskSet.dense_rows
+
+        def spy(self, queries):
+            read.append(list(queries))
+            return dense_rows(self, queries)
+
+        monkeypatch.setattr(SoftMaskSet, "dense_rows", spy)
+        assert weighted_area(masks, 2) == float(values[2].sum())
+        overlap = float(np.minimum(values[0], values[3]).sum())
+        assert pairwise_overlap(masks, 0, 3) == overlap
+        assert read == [[2], [0, 3]]
 
 
 class TestPanopticMap:

@@ -161,6 +161,22 @@ def float_masks_with_keep(draw, min_kept):
     return make_mask_set(values, class_probs=probs), keep
 
 
+@st.composite
+def zero_confidence_float_masks(draw):
+    """Unquantized float masks with 5e-324 entries, whose class scores
+    include all-zero rows, so kept queries that score 0 at every pixel are
+    common, first in the kept order among them."""
+    m = draw(st.integers(1, 6))
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)))
+    element = st.one_of(st.just(0.0), st.just(5e-324), st.floats(0.0, 1.0))
+    values = draw(arrays(np.float64, (m, *shape), elements=element))
+    probs = draw(arrays(np.float64, (m, 3), elements=st.floats(0.0, 1.0)))
+    zero = draw(arrays(bool, m))
+    zero[0] |= draw(st.booleans())
+    probs[zero] = 0.0
+    return make_mask_set(values, class_probs=probs)
+
+
 def assert_same_map(a, b):
     np.testing.assert_array_equal(a.instance_ids, b.instance_ids)
     assert a.instance_ids.dtype == b.instance_ids.dtype
@@ -375,6 +391,29 @@ class TestMergeBaseline:
         cfg = BaselineConfig(
             confidence_threshold=conf_threshold,
             vote_support_threshold=vote_threshold,
+        )
+        assert_same_map(merge_baseline(masks, cfg), dense_merge_baseline(masks, cfg))
+
+
+    def test_zero_confidence_first_query_keeps_its_value(self):
+        # Query 0 is kept at threshold 0 but scores 0 everywhere, so it takes
+        # no pixel by a strictly larger score; where query 1 is absent the
+        # winner stays 0, and query 0's own value 0.75 labels the pixel.
+        values = np.zeros((2, 1, 2, 2))
+        values[0] = 0.75
+        values[1, 0, 0] = 1.0
+        probs = np.array([[0.0, 0.0, 0.0], [0.9, 0.05, 0.05]])
+        masks = make_mask_set(values, class_probs=probs)
+        cfg = BaselineConfig(confidence_threshold=0.0, vote_support_threshold=0.0)
+        result = merge_baseline(masks, cfg)
+        assert result.instance_ids.tolist() == [[[2, 2], [1, 1]]]
+        assert_same_map(result, dense_merge_baseline(masks, cfg))
+
+    @settings(max_examples=200, deadline=None)
+    @given(zero_confidence_float_masks(), st.sampled_from([0.0, 0.5, 0.8]))
+    def test_matches_take_along_axis_reference(self, masks, vote_threshold):
+        cfg = BaselineConfig(
+            confidence_threshold=0.0, vote_support_threshold=vote_threshold
         )
         assert_same_map(merge_baseline(masks, cfg), dense_merge_baseline(masks, cfg))
 

@@ -10,8 +10,11 @@ from hypothesis.extra.numpy import arrays
 
 from panomerge import (
     AnnealConfig,
+    CorruptionSpec,
     QuboInstance,
+    SceneSpec,
     build_qubo,
+    generate_scene,
     objective,
     pairwise_overlap,
     solve_anneal,
@@ -27,7 +30,7 @@ from panomerge.qubo import (
     _sweep_draws,
 )
 
-from conftest import make_mask_set, random_mask_set
+from conftest import make_mask_set, random_mask_set, rounding_values
 
 
 # Reference solver: the annealer as it was before every field update went
@@ -221,7 +224,45 @@ def sparse_masks(draw):
     return values
 
 
+def ref_build_qubo(masks, penalty=2.0):
+    """build_qubo as it was while the set stored its dense values: dense row
+    sums, and each i's overlaps with its later partners gathered from their
+    dense rows at i's nonzero pixels."""
+    m = masks.num_queries
+    flat = masks.values.reshape(m, -1)
+    bits = np.packbits(flat > 0.0, axis=1)
+    quad = np.zeros((m, m))
+    for i in range(m - 1):
+        cols = np.flatnonzero(bits[i])
+        js = i + 1 + np.flatnonzero((bits[i + 1 :, cols] & bits[i, cols]).any(axis=1))
+        if js.size:
+            idx = np.flatnonzero(flat[i] > 0.0)
+            ov = np.minimum(flat[js[:, None], idx], flat[i, idx]).sum(axis=1)
+            quad[i, js] = ov
+            quad[js, i] = ov
+    return QuboInstance(flat.sum(axis=1), quad, penalty)
+
+
 class TestBuildQubo:
+    @settings(max_examples=300, deadline=None)
+    @given(rounding_values())
+    def test_equals_dense_gather_reference(self, values):
+        masks = make_mask_set(values)
+        got, want = build_qubo(masks), ref_build_qubo(masks)
+        assert np.array_equal(got.linear, want.linear)
+        assert np.array_equal(got.quadratic, want.quadratic)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_equals_dense_gather_reference_on_scenes(self, seed):
+        cor = CorruptionSpec(
+            duplicate_rate=0.5, fragment_rate=0.3, boundary_noise_px=2,
+            softness=1.0, view_gain_noise=0.3,
+        )
+        _, masks, _ = generate_scene(SceneSpec(seed=seed, corruption=cor))
+        got, want = build_qubo(masks), ref_build_qubo(masks)
+        assert np.array_equal(got.linear, want.linear)
+        assert np.array_equal(got.quadratic, want.quadratic)
+
     def test_disjoint_unit_masks(self):
         values = np.zeros((2, 1, 1, 2))
         values[0, 0, 0, 0] = 1.0
