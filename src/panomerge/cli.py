@@ -1,8 +1,8 @@
 """Command-line surface tying the pipeline together.
 
 Subcommands: synth, merge, merge-baseline, eval-pq, uplift, render-labels,
-fps, solve-qubo. Exit codes: 0 ok, 2 usage/validation error, 3 I/O or parse
-error. Every command is deterministic given its inputs and flags.
+fps, solve-qubo. Exit codes: 0 ok, 2 usage/validation error, 3 I/O, parse or
+memory error. Every command is deterministic given its inputs and flags.
 
 An optional flag left out is left out: each flag stores into the name of the
 library field or parameter it sets, and a command passes on only the flags
@@ -151,7 +151,7 @@ def cmd_uplift(args) -> int:
 
 
 def cmd_render_labels(args) -> int:
-    field = SplatLabelField(pio.read_tensor(args.field, dtype=np.float64))
+    field = SplatLabelField(pio.read_tensor(args.field))
     splats = pio.read_splats(args.splats)
     labels = pio.read_panoptic(args.labels)
     views = range(splats.num_views) if args.view is None else [args.view]
@@ -291,6 +291,9 @@ def main(argv=None) -> int:
         return args.func(args)
     except (pio.FormatError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except MemoryError as exc:
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
         return EXIT_IO
     except (ValueError, IndexError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -7,6 +7,8 @@ PanopticFile: instance map as a u16 TensorFile (N, H, W) plus a JSON sidecar
               the class table.
 SplatFile:    magic "PSW1", counts G, N, H, W (u32 LE), then a stream of
               (splat_id u32, view u16, pixel u32, weight f32) records.
+
+TensorFile readers return the stored dtype; each container widens its input.
 """
 
 from __future__ import annotations
@@ -27,8 +29,6 @@ SPLAT_MAGIC = b"PSW1"
 
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}
 _CODES = {np.dtype("float32"): 1, np.dtype("uint16"): 2, np.dtype("uint8"): 3}
-
-_READ_CHUNK = 1 << 14  # elements read per step by read_tensor, into one buffer
 
 _SPLAT_RECORD = np.dtype(
     [("splat", "<u4"), ("view", "<u2"), ("pixel", "<u4"), ("weight", "<f4")]
@@ -127,21 +127,13 @@ def _read_exactly(f, buf: np.ndarray, path) -> None:
         raise FormatError(f"{path}: payload shrank while being read")
 
 
-def read_tensor(path, dtype=None) -> np.ndarray:
-    """Read a TensorFile into one array of `dtype` (default: the stored
-    dtype), through a buffer of _READ_CHUNK elements, so the stored dtype is
-    never held whole alongside a conversion."""
+def read_tensor(path) -> np.ndarray:
+    """Read a TensorFile into one array of its stored dtype, in one read."""
     with open(path, "rb") as f:
         stored, dims = _read_tensor_header(f, path)
-        count = math.prod(dims)
-        # not `dtype or stored`: a plain np.dtype is falsy
-        out = np.empty(count, dtype=stored if dtype is None else dtype)
-        buf = np.empty(min(_READ_CHUNK, count), dtype=stored)
-        for start in range(0, count, _READ_CHUNK):
-            chunk = buf[: min(_READ_CHUNK, count - start)]
-            _read_exactly(f, chunk, path)
-            out[start : start + chunk.size] = chunk
-        return out.reshape(dims)
+        out = np.empty(dims, dtype=stored)
+        _read_exactly(f, out.reshape(-1), path)
+        return out
 
 
 def read_tensor_rows(path):

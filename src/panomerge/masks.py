@@ -48,23 +48,6 @@ class ClassTable:
         return len(self.names)
 
 
-def nonzero_rows(
-    a: np.ndarray, nz: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(indptr, cols, values) of the entries of 2-D `a` selected by the
-    same-shape bool `nz`: row r's column indices, ascending, and their values
-    are cols[indptr[r]:indptr[r + 1]] and values[indptr[r]:indptr[r + 1]].
-    Built in one pass over the flat array and returned read-only."""
-    rows, ncols = a.shape
-    f = np.flatnonzero(nz)
-    # f ascends, so each row's entries start where its first flat index would
-    indptr = np.searchsorted(f, np.arange(rows + 1) * ncols)
-    index = (indptr, f % ncols, a.ravel()[f])
-    for x in index:
-        x.flags.writeable = False
-    return index
-
-
 class MaskSupport(NamedTuple):
     """Each proposal's nonzero pixels, the stored form of a `SoftMaskSet`.
 

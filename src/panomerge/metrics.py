@@ -198,11 +198,10 @@ def scene_pq(
     }
 
     report = PqReport(per_class=per_class, class_table=classes)
-    present = [st for st in per_class.values()]
-    if present:
-        report.pq = float(np.mean([st.pq for st in present]))
-        report.sq = float(np.mean([st.sq for st in present]))
-        report.rq = float(np.mean([st.rq for st in present]))
+    if per_class:
+        report.pq = float(np.mean([st.pq for st in per_class.values()]))
+        report.sq = float(np.mean([st.sq for st in per_class.values()]))
+        report.rq = float(np.mean([st.rq for st in per_class.values()]))
     things = [st.pq for cid, st in per_class.items() if classes.is_thing[cid]]
     stuff = [st.pq for cid, st in per_class.items() if not classes.is_thing[cid]]
     if things:

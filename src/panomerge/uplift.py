@@ -9,11 +9,10 @@ weight-scaled splat distributions per pixel and takes the argmax.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
-from .masks import PanopticMap, nonzero_rows
+from .masks import PanopticMap
 
 
 @dataclass(frozen=True)
@@ -73,17 +72,22 @@ class SplatWeightTable:
         return self.splat_ids.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class SplatLabelField:
-    """Per-splat label distributions: each row sums to one, or is all-zero
-    for a splat no labeled pixel observed. Stored read-only, as every array
-    a cached index is built from is, so `support` cannot go stale; a float64
-    array is stored as given, so the caller's array becomes read-only too."""
+    """Per-splat label distributions (column = instance ID, 0 = void): each
+    row sums to one, or is all-zero for a splat no labeled pixel observed.
 
-    distributions: np.ndarray  # (G, L + 1), column 0 = void
+    Built from a dense (G, L + 1) array, widened to float64 and checked.
+    Stored, read-only: `shape` and `support` = (indptr, labels, values), splat
+    g's nonzero labels, ascending, and their masses being
+    labels[indptr[g]:indptr[g + 1]] and values[indptr[g]:indptr[g + 1]]. The
+    given array is not kept; `distributions` rebuilds it on each access."""
 
-    def __post_init__(self):
-        dist = np.asarray(self.distributions, dtype=np.float64)
+    shape: tuple[int, int]
+    support: tuple[np.ndarray, np.ndarray, np.ndarray]
+
+    def __init__(self, distributions):
+        dist = np.asarray(distributions, dtype=np.float64)
         if dist.ndim != 2:
             raise ValueError("distributions must have shape (G, L + 1)")
         # written so that NaN fails it too
@@ -92,21 +96,29 @@ class SplatLabelField:
         sums = dist.sum(axis=1)
         if ((sums != 0.0) & (np.abs(sums - 1.0) > 1e-6)).any():
             raise ValueError("splat distributions must sum to 0 or to 1")
-        dist.flags.writeable = False
-        object.__setattr__(self, "distributions", dist)
+        rows, width = dist.shape
+        # validated nonnegative, so > 0 selects exactly the nonzero entries;
+        # f ascends, so each row's entries start where its first flat index would
+        f = np.flatnonzero(dist > 0.0)
+        indptr = np.searchsorted(f, np.arange(rows + 1) * width)
+        support = (indptr, f % width, dist.ravel()[f])
+        for a in support:
+            a.flags.writeable = False
+        object.__setattr__(self, "shape", dist.shape)
+        object.__setattr__(self, "support", support)
 
-    @cached_property
-    def support(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """(indptr, labels, values), built on first use: splat g's nonzero
-        labels, ascending, and their masses are labels[indptr[g]:indptr[g + 1]]
-        and values[indptr[g]:indptr[g + 1]]."""
-        # validated nonnegative, so > 0 selects exactly the nonzero entries
-        return nonzero_rows(self.distributions, self.distributions > 0.0)
+    @property
+    def distributions(self) -> np.ndarray:
+        """The dense (G, L + 1) float64 array, rebuilt on each access."""
+        indptr, labels, values = self.support
+        out = np.zeros(self.shape)
+        out[np.repeat(np.arange(self.shape[0]), np.diff(indptr)), labels] = values
+        return out
 
     @property
     def observed(self) -> np.ndarray:
         """(G,) bool: splats whose distribution carries any mass."""
-        return self.distributions.sum(axis=1) > 0.0
+        return np.diff(self.support[0]) > 0
 
 
 def uplift_labels(labels: PanopticMap, weights: SplatWeightTable) -> SplatLabelField:
@@ -156,7 +168,7 @@ def render_labels(
     """
     if not 0 <= view < weights.num_views:
         raise ValueError(f"unknown view {view}")
-    if field.distributions.shape[0] != weights.num_splats:
+    if field.shape[0] != weights.num_splats:
         raise ValueError("label field and weight table disagree on the splat count")
     records = np.flatnonzero(weights.views == view)
     indptr, labels, values = field.support
@@ -167,13 +179,13 @@ def render_labels(
     # position of that label in the support
     rec = np.repeat(records, count)
     entry = np.arange(rec.size) + np.repeat(first - (np.cumsum(count) - count), count)
-    width = field.distributions.shape[1]
+    width = field.shape[1]
     pixels = weights.height * weights.width
     acc = np.bincount(
         weights.pixels[rec] * width + labels[entry],
         weights=weights.weights[rec] * values[entry],
         minlength=pixels * width,
     ).reshape(pixels, width)
+    # acc is nonnegative and NaN-free: a massless row's argmax is already void
     out = np.argmax(acc, axis=1)
-    out[acc.sum(axis=1) <= 0.0] = 0
     return out.reshape(weights.height, weights.width).astype(np.int32)

@@ -1,6 +1,8 @@
 import argparse
 import json
 import os
+import resource
+import struct
 import subprocess
 import sys
 
@@ -9,12 +11,19 @@ import pytest
 
 from panomerge import cli
 from panomerge.cli import main
-from panomerge.io import read_panoptic, read_tensor, write_panoptic, write_tensor
+from panomerge.io import (
+    read_panoptic,
+    read_splats,
+    read_tensor,
+    write_panoptic,
+    write_tensor,
+)
 from panomerge.keyframe import FrameDescriptors, fps_select
-from panomerge.masks import PanopticMap
+from panomerge.masks import ClassTable, PanopticMap
 from panomerge.merging import BaselineConfig, MergeConfig, merge_baseline, merge_qubo
 from panomerge.qubo import AnnealConfig, build_qubo
 from panomerge.synthgen import CorruptionSpec, SceneSpec, generate_scene
+from panomerge.uplift import SplatLabelField, render_labels, uplift_labels
 
 
 def run(args):
@@ -442,6 +451,54 @@ class TestEvalPq:
         report = json.loads(capsys.readouterr().out)
         assert report["num_scenes"] == 3
         assert report["pq"] == 100.0
+
+
+def test_uplift_and_render_never_read_dense_distributions(
+    scene_dir, tmp_path, monkeypatch
+):
+    gt = read_panoptic(scene_dir / "gt.pmt")
+    splats = read_splats(scene_dir / "splats.psw")
+    views = range(splats.num_views)
+    want = [render_labels(uplift_labels(gt, splats), splats, v) for v in views]
+    field, rendered = tmp_path / "field.pmt", tmp_path / "rendered.pmt"
+    assert run(["uplift", scene_dir / "gt.pmt", scene_dir / "splats.psw",
+                "--out", field]) == 0  # its writer reads them
+
+    def unread(field):
+        raise AssertionError("SplatLabelField.distributions was read")
+
+    monkeypatch.setattr(SplatLabelField, "distributions", property(unread))
+    uplifted = uplift_labels(gt, splats)
+    for v in views:
+        np.testing.assert_array_equal(render_labels(uplifted, splats, v), want[v])
+    assert run(["render-labels", field, scene_dir / "splats.psw",
+                scene_dir / "gt.pmt", "--out", rendered]) == 0
+    np.testing.assert_array_equal(read_panoptic(rendered).instance_ids, np.stack(want))
+
+
+def _limit_address_space():
+    resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))
+
+
+def test_out_of_memory_is_exit_3_and_writes_nothing(tmp_path):
+    labels, splats = tmp_path / "labels.pmt", tmp_path / "forged.psw"
+    out = tmp_path / "field.pmt"
+    table = ClassTable(("a",), (True,))
+    write_panoptic(labels, PanopticMap.from_instances(
+        np.ones((1, 2, 2), dtype=np.int32), {1: 0}, table))
+    # no records, but a header that claims G = 2^31 splats
+    splats.write_bytes(b"PSW1" + struct.pack("<4I", 1 << 31, 1, 2, 2))
+    # the limit is set in the one child only
+    proc = subprocess.run(
+        [sys.executable, "-m", "panomerge.cli", "uplift", labels, splats, "--out", out],
+        capture_output=True, text=True, preexec_fn=_limit_address_space,
+        env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path),
+             "OPENBLAS_NUM_THREADS": "1"},
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stderr.startswith("error: uplift: out of memory: ")
+    assert "Traceback" not in proc.stderr
+    assert not out.exists()
 
 
 class TestUpliftRender:

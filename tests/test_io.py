@@ -97,18 +97,6 @@ class TestTensorFile:
         with pytest.raises(FormatError, match="shrank"):
             read_tensor(path)
 
-    @pytest.mark.parametrize("seed", range(10))
-    def test_read_into_dtype_matches_astype(self, tmp_path, seed):
-        rng = np.random.default_rng(seed)
-        arr = random_tensor(rng)
-        if seed == 0:  # several conversion chunks and a partial last one
-            arr = rng.random(int(2.5 * pio._READ_CHUNK)).astype(np.float32)
-        path = tmp_path / "a.pmt"
-        write_tensor(path, arr)
-        back = read_tensor(path, dtype=np.float64)
-        assert back.dtype == np.float64
-        assert np.array_equal(back, arr.astype(np.float64))
-
     def test_mask_set_load_peaks_near_what_it_holds(self, tmp_path):
         rng = np.random.default_rng(0)
         masks, probs = tmp_path / "masks.pmt", tmp_path / "classprobs.pmt"

@@ -21,7 +21,7 @@ from panomerge import (
 # one np.bincount each. Both add in record order with np.add.at.
 
 
-def ref_uplift_labels(labels, weights):
+def ref_distributions(labels, weights):
     num_labels = int(labels.instance_ids.max(initial=0))
     if labels.instance_to_class:
         num_labels = max(num_labels, max(labels.instance_to_class))
@@ -33,7 +33,20 @@ def ref_uplift_labels(labels, weights):
     observed = totals > 0.0
     dist[observed] /= totals[observed, None]
     dist[~observed] = 0.0
-    return SplatLabelField(dist)
+    return dist
+
+
+def ref_uplift_labels(labels, weights):
+    return SplatLabelField(ref_distributions(labels, weights))
+
+
+def ref_support(dist):
+    """(indptr, labels, values) of a dense field's nonzero entries, found in
+    one pass over the flat array."""
+    rows, ncols = dist.shape
+    f = np.flatnonzero(dist > 0.0)
+    indptr = np.searchsorted(f, np.arange(rows + 1) * ncols)
+    return indptr, f % ncols, dist.ravel()[f]
 
 
 def ref_render_labels(field, weights, view):
@@ -274,8 +287,8 @@ class TestRenderIndices:
     @given(uplift_cases())
     def test_match_flatnonzero_and_nonzero(self, case):
         labels, weights = case
-        dist = uplift_labels(labels, weights).distributions
-        indptr, label, value = SplatLabelField(dist).support
+        dist = ref_distributions(labels, weights)
+        indptr, label, value = uplift_labels(labels, weights).support
         splat, want = np.nonzero(dist)
         np.testing.assert_array_equal(label, want)
         np.testing.assert_array_equal(value, dist[splat, want])
@@ -286,15 +299,63 @@ class TestRenderIndices:
         gt, _, splats = generate_scene(SceneSpec(seed=2))
         field = uplift_labels(gt, splats)
         assert field.support is field.support
-        for a in [*field.support, field.distributions]:
+        for a in field.support:
             with pytest.raises(ValueError):
                 a[0] = 1
+        # each access rebuilds a fresh dense array, the caller's to change
+        dense = field.distributions
+        assert dense is not field.distributions
+        dense[0] = 1
 
-    def test_given_arrays_are_locked(self):
-        dist = np.array([[0.0, 1.0]])
-        SplatLabelField(dist)
-        with pytest.raises(ValueError):
-            dist[0] = 1
+    def test_given_array_stays_writable_and_is_not_kept(self):
+        gt, _, splats = generate_scene(SceneSpec(seed=2))
+        dist = ref_distributions(gt, splats)
+        field = SplatLabelField(dist)
+        support = [a.copy() for a in field.support]
+        observed = field.observed
+        views = [render_labels(field, splats, v) for v in range(splats.num_views)]
+        assert dist.flags.writeable
+        dist[...] = 0.0
+        dist[:, -1] = 1.0
+        for a, b in zip(field.support, support):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(field.observed, observed)
+        for v, want in enumerate(views):
+            np.testing.assert_array_equal(render_labels(field, splats, v), want)
+
+
+@st.composite
+def dense_fields(draw):
+    """Valid dense (G, L + 1) fields, G >= 0 and L + 1 >= 1: rows that sum to
+    one, some with subnormal masses, and all-zero rows, some of -0.0."""
+    g, width = draw(st.integers(0, 6)), draw(st.integers(1, 5))
+    dist = np.zeros((g, width))
+    for row in dist:
+        masses = draw(st.lists(st.sampled_from([0.0, -0.0, 0.1, 0.3, 1.0]),
+                               min_size=width, max_size=width))
+        row[:] = masses
+        if row.sum() > 0.0:
+            row /= row.sum()
+            # subnormal masses in zero columns leave the sum within 1e-6
+            tiny = draw(st.lists(st.sampled_from([0.0, -0.0, 5e-324, 1e-310]),
+                                 min_size=width, max_size=width))
+            zero = row == 0.0
+            row[zero] = np.array(tiny)[zero]
+    return dist
+
+
+class TestStoredForm:
+    @settings(max_examples=300, deadline=None)
+    @given(dense_fields())
+    def test_support_round_trip_and_observed(self, dense):
+        field = SplatLabelField(dense)
+        assert field.shape == dense.shape
+        for a, b in zip(field.support, ref_support(dense)):
+            np.testing.assert_array_equal(a, b)
+        rebuilt = field.distributions
+        assert rebuilt.dtype == np.float64
+        assert np.array_equal(rebuilt, dense)
+        np.testing.assert_array_equal(field.observed, dense.sum(axis=1) > 0)
 
 
 class TestSplatWeightTable:
