@@ -121,8 +121,6 @@ def cmd_eval_pq(args) -> int:
             for s in stems
             if (gt_dir / f"{s}.pmt").exists()
         ]
-        if not pairs:
-            raise ValueError("no matching scene pairs found")
         reports = [_eval_pair(pred, gt, void_exemption) for pred, gt in pairs]
         doc = dataset_pq(reports).to_json_dict()
         doc["scenes"] = [
@@ -145,13 +143,16 @@ def cmd_uplift(args) -> int:
     labels = pio.read_panoptic(args.labels)
     splats = pio.read_splats(args.splats)
     field = uplift_labels(labels, splats)
-    pio.write_tensor(args.out, field.distributions.astype(np.float32))
+    blocks = np.array_split(field.distributions, 16)  # converted one at a time
+    pio.write_tensor_rows(args.out, np.float32, field.shape, blocks)
     print(f"uplifted onto {int(field.observed.sum())} observed splats")
     return EXIT_OK
 
 
 def cmd_render_labels(args) -> int:
-    field = SplatLabelField(pio.read_tensor(args.field))
+    dense = pio.read_tensor(args.field)
+    keys = np.flatnonzero(dense != 0)  # bool scan; only these entries are widened
+    field = SplatLabelField(dense.shape, keys, dense.ravel()[keys])
     splats = pio.read_splats(args.splats)
     labels = pio.read_panoptic(args.labels)
     views = range(splats.num_views) if args.view is None else [args.view]

@@ -92,8 +92,8 @@ def write_tensor(path, array: np.ndarray) -> None:
 
 def write_tensor_rows(path, dtype, shape: tuple, rows) -> None:
     """Write a TensorFile of `dtype` and `shape` whose rows (slices along the
-    first axis) are the arrays `rows` yields, each converted on its own, so
-    the whole tensor is never held."""
+    first axis) are the arrays `rows` yields, one row or a block of several
+    each, converted one at a time, so no whole converted copy is held."""
     _write_files({path: _tensor_chunks(dtype, shape, rows)})
 
 

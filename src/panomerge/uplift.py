@@ -1,13 +1,14 @@
 """Uplift per-pixel instance labels onto splat primitives and render them back.
 
-Each splat i carries a distribution over instance labels (column 0 = void)
-obtained as the weight-normalized sum of one-hot pixel labels over the
-view-pixel pairs the splat contributes to. Rendering a view accumulates
-weight-scaled splat distributions per pixel and takes the argmax.
+Each splat i carries a distribution over instance labels (column 0 = void):
+the weight-normalized sum of one-hot pixel labels over the view-pixel pairs
+it contributes to, summed per (splat, label) pair the records hold. Rendering
+a view sums weight-scaled splat distributions per pixel and takes the argmax.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -77,34 +78,40 @@ class SplatLabelField:
     """Per-splat label distributions (column = instance ID, 0 = void): each
     row sums to one, or is all-zero for a splat no labeled pixel observed.
 
-    Built from a dense (G, L + 1) array, widened to float64 and checked.
-    Stored, read-only: `shape` and `support` = (indptr, labels, values), splat
-    g's nonzero labels, ascending, and their masses being
-    labels[indptr[g]:indptr[g + 1]] and values[indptr[g]:indptr[g + 1]]. The
-    given array is not kept; `distributions` rebuilds it on each access."""
+    Built from the nonzero entries of a (G, L + 1) `shape`: flat `keys`
+    splat * (L + 1) + label, strictly ascending, and their masses `values`,
+    finite and positive (copied). Stored, read-only: `shape` and `support` =
+    (indptr, labels, values), splat g's entries being indptr[g]:indptr[g + 1]
+    of labels and values; `distributions` rebuilds the dense array on access."""
 
     shape: tuple[int, int]
     support: tuple[np.ndarray, np.ndarray, np.ndarray]
 
-    def __init__(self, distributions):
-        dist = np.asarray(distributions, dtype=np.float64)
-        if dist.ndim != 2:
+    def __init__(self, shape, keys, values):
+        shape = tuple(map(operator.index, shape))
+        if len(shape) != 2 or min(shape) < 0:
             raise ValueError("distributions must have shape (G, L + 1)")
+        rows, width = shape
+        keys = np.asarray(keys, dtype=np.int64)
+        values = np.array(values, dtype=np.float64)
+        if keys.ndim != 1 or keys.shape != values.shape:
+            raise ValueError("keys and values must be 1-D and of equal length")
+        # -1 and G * (L + 1) bracket the keys, so their range is checked too
+        if (np.diff(keys, prepend=-1, append=rows * width) <= 0).any():
+            raise ValueError("keys must ascend strictly within [0, G * (L + 1))")
         # written so that NaN fails it too
-        if dist.size and not (dist.min() >= 0.0 and dist.max() < np.inf):
-            raise ValueError("splat distributions must be finite and nonnegative")
-        sums = dist.sum(axis=1)
+        if keys.size and not (values.min() > 0.0 and values.max() < np.inf):
+            raise ValueError("splat masses must be nonzero, finite and nonnegative")
+        splat = keys // width
+        sums = np.bincount(splat, values)
         if ((sums != 0.0) & (np.abs(sums - 1.0) > 1e-6)).any():
             raise ValueError("splat distributions must sum to 0 or to 1")
-        rows, width = dist.shape
-        # validated nonnegative, so > 0 selects exactly the nonzero entries;
-        # f ascends, so each row's entries start where its first flat index would
-        f = np.flatnonzero(dist > 0.0)
-        indptr = np.searchsorted(f, np.arange(rows + 1) * width)
-        support = (indptr, f % width, dist.ravel()[f])
+        # keys ascend, so each row's entries start where its first key would
+        indptr = np.searchsorted(keys, np.arange(rows + 1) * width)
+        support = (indptr, keys - splat * width, values)
         for a in support:
             a.flags.writeable = False
-        object.__setattr__(self, "shape", dist.shape)
+        object.__setattr__(self, "shape", shape)
         object.__setattr__(self, "support", support)
 
     @property
@@ -134,24 +141,21 @@ def uplift_labels(labels: PanopticMap, weights: SplatWeightTable) -> SplatLabelF
         weights.width,
     ):
         raise ValueError("label map and weight table disagree on (N, H, W)")
-    num_labels = int(labels.instance_ids.max(initial=0))
-    if labels.instance_to_class:
-        num_labels = max(num_labels, max(labels.instance_to_class))
+    # one column past the largest ID the map holds or names
+    width = 1 + max([int(labels.instance_ids.max(initial=0)), *labels.instance_to_class])
     flat = labels.instance_ids.reshape(labels.num_views, -1)
     record_labels = flat[weights.views, weights.pixels]
 
-    # bincount adds in record order, as np.add.at would; with no records
-    # it returns integer zeros
-    width = num_labels + 1
-    dist = np.bincount(
-        weights.splat_ids * width + record_labels,
-        weights=weights.weights,
-        minlength=weights.num_splats * width,
-    ).astype(np.float64, copy=False).reshape(weights.num_splats, width)
-    totals = dist.sum(axis=1)
-    observed = totals > 0.0
-    dist[observed] /= totals[observed, None]
-    return SplatLabelField(dist)
+    # np.unique pairs each record with its (splat, label) key, and bincount
+    # adds each pair's weights in record order, as np.add.at would
+    keys, pair = np.unique(weights.splat_ids * width + record_labels, return_inverse=True)
+    mass = np.bincount(pair, weights.weights, keys.size)
+    keys, mass = keys[mass > 0.0], mass[mass > 0.0]
+    splat = keys // width
+    values = mass / np.bincount(splat, mass, weights.num_splats)[splat]
+    # a mass can underflow to 0.0 against its splat's total: then it is no entry
+    keep = values != 0.0
+    return SplatLabelField((weights.num_splats, width), keys[keep], values[keep])
 
 
 def render_labels(

@@ -452,6 +452,20 @@ class TestEvalPq:
         assert report["num_scenes"] == 3
         assert report["pq"] == 100.0
 
+    def test_dataset_mode_without_matching_pairs_writes_nothing(
+        self, scene_dir, tmp_path, capsys
+    ):
+        pred_dir, gt_dir = tmp_path / "pred", tmp_path / "gt"
+        pred_dir.mkdir()
+        gt_dir.mkdir()
+        (pred_dir / "scene1.pmt").write_bytes((scene_dir / "gt.pmt").read_bytes())
+        (pred_dir / "scene1.json").write_text((scene_dir / "gt.json").read_text())
+        out = tmp_path / "report.json"
+        capsys.readouterr()
+        assert run(["eval-pq", pred_dir, gt_dir, "--dataset", "--out", out]) == 2
+        assert "at least one scene" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["gt", "pred", "scene"]
+
 
 def test_uplift_and_render_never_read_dense_distributions(
     scene_dir, tmp_path, monkeypatch

@@ -205,19 +205,21 @@ def test_cached_indices_have_locked_arrays(path):
     assert unlocked_caches(path.read_text()) == []
 
 
-# Mask sets are validated where masks enter the program, and nowhere else.
+# Mask sets and label fields are validated where one is made or read, and
+# nowhere else.
 MASK_SET_ENTRIES = {("cli.py", "_load_mask_set"), ("synthgen.py", "generate_scene")}
+LABEL_FIELD_ENTRIES = {("uplift.py", "uplift_labels"), ("cli.py", "cmd_render_labels")}
 
 
-def mask_set_constructions(source: str) -> list[str]:
-    """Names of the top-level functions that call `SoftMaskSet(`, with
-    "<module>" for a call outside any function."""
+def constructions(source: str, cls: str) -> list[str]:
+    """Names of the top-level functions that call `cls(`, with "<module>"
+    for a call outside any function."""
     found = []
     for node in ast.parse(source).body:
         name = getattr(node, "name", "<module>")
         for call in ast.walk(node):
             if isinstance(call, ast.Call):
-                if ast.unparse(call.func).split(".")[-1] == "SoftMaskSet":
+                if ast.unparse(call.func).split(".")[-1] == cls:
                     found.append(name)
     return found
 
@@ -233,13 +235,34 @@ def test_detects_mask_set_construction():
         "    return s\n"
         "DEFAULT = SoftMaskSet(v, p, t)\n"
     )
-    assert mask_set_constructions(source) == ["load", "sub", "<module>"]
+    assert constructions(source, "SoftMaskSet") == ["load", "sub", "<module>"]
+
+
+def test_detects_label_field_construction():
+    source = (
+        "from panomerge import uplift\n"
+        "def read(a):\n"
+        "    k = np.flatnonzero(a)\n"
+        "    return SplatLabelField(a.shape, k, a.ravel()[k])\n"
+        "def rebuilt(f):\n"
+        "    return uplift.SplatLabelField(f.shape, [], [])\n"
+        "def typed(f: SplatLabelField) -> SplatLabelField:\n"
+        "    return f\n"
+        "EMPTY = SplatLabelField((0, 1), [], [])\n"
+    )
+    assert constructions(source, "SplatLabelField") == ["read", "rebuilt", "<module>"]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_mask_sets_built_only_at_entry_points(path):
-    built = mask_set_constructions(path.read_text())
+    built = constructions(path.read_text(), "SoftMaskSet")
     assert {(path.name, n) for n in built} <= MASK_SET_ENTRIES
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_label_fields_built_only_at_entry_points(path):
+    built = constructions(path.read_text(), "SplatLabelField")
+    assert {(path.name, n) for n in built} <= LABEL_FIELD_ENTRIES
 
 
 def copied_defaults(source: str) -> list[str]:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -36,8 +38,14 @@ def ref_distributions(labels, weights):
     return dist
 
 
+def dense_field(dist):
+    """The field of a dense (G, L + 1) array, built from its nonzero entries."""
+    keys = np.flatnonzero(dist)
+    return SplatLabelField(np.shape(dist), keys, np.ravel(dist)[keys])
+
+
 def ref_uplift_labels(labels, weights):
-    return SplatLabelField(ref_distributions(labels, weights))
+    return dense_field(ref_distributions(labels, weights))
 
 
 def ref_support(dist):
@@ -88,6 +96,30 @@ def uplift_cases(draw):
     cols = np.array(triples, dtype=np.int64).reshape(-1, 3).T
     table = SplatWeightTable(g, n, h, w, cols[0], cols[1], cols[2], np.array(wts))
     return labels, table
+
+
+@st.composite
+def many_label_cases(draw, weight):
+    """A label map with L + 1 >= 8 columns, so numpy's pairwise row sum in
+    the dense oracle groups its terms, and a weight table whose few splats
+    each see many labels, with weights drawn from `weight`."""
+    n, h, w = draw(st.integers(1, 2)), draw(st.integers(2, 4)), draw(st.integers(2, 4))
+    g = draw(st.integers(1, 3))
+    largest = draw(st.integers(7, 15))
+    ids = draw(st.lists(st.integers(0, largest), min_size=n * h * w,
+                        max_size=n * h * w))
+    inst = np.array(ids, dtype=np.int32).reshape(n, h, w)
+    labels = PanopticMap.from_instances(
+        inst, {i: 0 for i in set(ids) - {0}} | {largest: 1}, table2()
+    )
+    triples = draw(st.lists(
+        st.tuples(st.integers(0, g - 1), st.integers(0, n - 1),
+                  st.integers(0, h * w - 1)),
+        unique=True, min_size=1, max_size=3 * n * h * w,
+    ))
+    wts = draw(st.lists(weight, min_size=len(triples), max_size=len(triples)))
+    cols = np.array(triples, dtype=np.int64).T
+    return labels, SplatWeightTable(g, n, h, w, *cols, np.array(wts))
 
 
 def table2():
@@ -145,6 +177,32 @@ class TestUpliftLabels:
         weights = make_table([[0, 0, 0, 0.0]], 1, 1, 1, 2)
         field = uplift_labels(labels, weights)
         assert not field.observed[0]
+
+    def test_mass_underflowing_against_its_total_is_no_entry(self):
+        # 5e-324 / 3.0 rounds to 0.0, in the dense oracle too: no entry
+        labels = simple_labels(np.array([[[1, 2]]]))
+        weights = make_table([[0, 0, 0, 5e-324], [0, 0, 1, 3.0]], 1, 1, 1, 2)
+        field = uplift_labels(labels, weights)
+        assert field.support[1].tolist() == [2]
+        assert field.support[2].tolist() == [1.0]
+        np.testing.assert_array_equal(
+            field.distributions, ref_uplift_labels(labels, weights).distributions
+        )
+
+    def test_memory_does_not_follow_the_largest_id(self):
+        labels = simple_labels(np.array([[[1, 1 << 20]]]))
+        weights = make_table([[s, 0, p, 1.0] for s in range(4) for p in (0, 1)],
+                             4, 1, 1, 2)
+        tracemalloc.start()
+        try:
+            field = uplift_labels(labels, weights)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the dense (4, 2^20 + 1) float64 field would be 32 MiB
+        assert peak <= 1 << 20
+        assert field.shape == (4, (1 << 20) + 1)
+        assert field.support[1].tolist() == [1, 1 << 20] * 4
 
     def test_observed_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
@@ -223,7 +281,7 @@ class TestRenderLabels:
         # with a view-1 record between them. 0.1 + 0.2 + 0.3 in record order
         # is 0.6000000000000001 and beats 0.6; reversed or by splat it ties,
         # and the tie goes to label 1.
-        field = SplatLabelField(np.eye(3)[[2, 2, 2, 1]])
+        field = dense_field(np.eye(3)[[2, 2, 2, 1]])
         records = [[2, 0, 0, 0.1], [1, 0, 0, 0.2], [0, 1, 0, 1.0],
                    [0, 0, 0, 0.3], [3, 0, 0, 0.6]]
         assert render_labels(field, make_table(records, 4, 2, 1, 1), 0)[0, 0] == 2
@@ -243,7 +301,7 @@ class TestRenderLabels:
         resized = np.zeros((rows, dist.shape[1]))
         resized[: min(rows, dist.shape[0])] = dist[:rows]
         with pytest.raises(ValueError, match="splat count"):
-            render_labels(SplatLabelField(resized), splats, 0)
+            render_labels(dense_field(resized), splats, 0)
 
     def test_round_trip_on_clean_scene(self):
         gt, proposals, splats = generate_scene(SceneSpec(seed=4))
@@ -281,6 +339,41 @@ class TestAgainstDenseOracles:
                 render_labels(field, splats, v), ref_render_labels(want, splats, v)
             )
 
+    @settings(max_examples=300, deadline=None)
+    @given(many_label_cases(st.integers(0, 5).map(float)))
+    def test_integer_weights_over_many_labels_match_exactly(self, case):
+        # integer masses sum exactly in any order, so the totals agree
+        labels, weights = case
+        field = uplift_labels(labels, weights)
+        want = ref_uplift_labels(labels, weights)
+        for a, b in zip(field.support, want.support):
+            np.testing.assert_array_equal(a, b)
+        for v in range(weights.num_views):
+            np.testing.assert_array_equal(
+                render_labels(field, weights, v), ref_render_labels(want, weights, v)
+            )
+
+    @settings(max_examples=300, deadline=None)
+    @given(many_label_cases(
+        st.floats(0.0, 1.0, exclude_max=True, allow_subnormal=False)
+    ))
+    def test_real_weights_over_many_labels_match_to_rounding(self, case):
+        # a splat's total adds its nonzero masses in label order, the dense
+        # oracle all L + 1 columns pairwise: the last ulp may differ
+        labels, weights = case
+        field = uplift_labels(labels, weights)
+        indptr, label, value = field.support
+        want_indptr, want_label, want_value = ref_uplift_labels(labels, weights).support
+        np.testing.assert_array_equal(indptr, want_indptr)
+        np.testing.assert_array_equal(label, want_label)
+        eps = np.finfo(np.float64).eps
+        rtol = 4 * field.shape[1] * eps
+        assert (np.abs(value - want_value) <= rtol * want_value).all()
+        for v in range(weights.num_views):
+            np.testing.assert_array_equal(
+                render_labels(field, weights, v), ref_render_labels(field, weights, v)
+            )
+
 
 class TestRenderIndices:
     @settings(max_examples=300, deadline=None)
@@ -310,13 +403,16 @@ class TestRenderIndices:
     def test_given_array_stays_writable_and_is_not_kept(self):
         gt, _, splats = generate_scene(SceneSpec(seed=2))
         dist = ref_distributions(gt, splats)
-        field = SplatLabelField(dist)
+        keys = np.flatnonzero(dist)
+        values = dist.ravel()[keys]
+        field = SplatLabelField(dist.shape, keys, values)
         support = [a.copy() for a in field.support]
         observed = field.observed
         views = [render_labels(field, splats, v) for v in range(splats.num_views)]
-        assert dist.flags.writeable
-        dist[...] = 0.0
-        dist[:, -1] = 1.0
+        assert keys.flags.writeable and values.flags.writeable
+        assert not any(np.shares_memory(values, a) for a in field.support)
+        keys[...] = np.arange(keys.size)
+        values[...] = 1.0
         for a, b in zip(field.support, support):
             np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(field.observed, observed)
@@ -348,7 +444,7 @@ class TestStoredForm:
     @settings(max_examples=300, deadline=None)
     @given(dense_fields())
     def test_support_round_trip_and_observed(self, dense):
-        field = SplatLabelField(dense)
+        field = dense_field(dense)
         assert field.shape == dense.shape
         for a, b in zip(field.support, ref_support(dense)):
             np.testing.assert_array_equal(a, b)
@@ -356,6 +452,37 @@ class TestStoredForm:
         assert rebuilt.dtype == np.float64
         assert np.array_equal(rebuilt, dense)
         np.testing.assert_array_equal(field.observed, dense.sum(axis=1) > 0)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_rejects_each_broken_entry_list(self, data):
+        dense = data.draw(dense_fields().filter(lambda d: np.count_nonzero(d) >= 2))
+        shape = dense.shape
+        keys = np.flatnonzero(dense)
+        values = dense.ravel()[keys]
+        i = data.draw(st.integers(0, keys.size - 1))
+        defect = data.draw(st.sampled_from(
+            ["unsorted", "duplicated", "negative", "too large", "length",
+             "value", "shape"]
+        ))
+        if defect == "unsorted":
+            keys[[0, -1]] = keys[[-1, 0]]
+        elif defect == "duplicated":
+            keys[max(i, 1)] = keys[max(i, 1) - 1]
+        elif defect == "negative":
+            keys[0] = data.draw(st.integers(-3, -1))
+        elif defect == "too large":
+            keys[-1] = shape[0] * shape[1] + data.draw(st.integers(0, 3))
+        elif defect == "length":
+            values = data.draw(st.sampled_from([values[:-1], np.append(values, 1.0)]))
+        elif defect == "value":
+            values[i] = data.draw(st.sampled_from([0.0, -0.0, -0.5, np.nan, np.inf]))
+        else:
+            shape = data.draw(st.sampled_from(
+                [(shape[0] * shape[1],), shape + (1,), (), (-1, shape[1])]
+            ))
+        with pytest.raises(ValueError):
+            SplatLabelField(shape, keys, values)
 
 
 class TestSplatWeightTable:
@@ -411,7 +538,7 @@ class TestSplatWeightTable:
 
 class TestSplatLabelField:
     def test_observed_is_derived_from_row_mass(self):
-        field = SplatLabelField([[0.0, 0.25, 0.75], [0.0, 0.0, 0.0]])
+        field = dense_field([[0.0, 0.25, 0.75], [0.0, 0.0, 0.0]])
         assert field.observed.tolist() == [True, False]
 
     @pytest.mark.parametrize(
@@ -421,9 +548,9 @@ class TestSplatLabelField:
     )
     def test_non_finite_or_negative_row_rejected(self, row):
         with pytest.raises(ValueError, match="finite and nonnegative"):
-            SplatLabelField([[0.0, 0.0, 1.0], row])
+            dense_field([[0.0, 0.0, 1.0], row])
 
     @pytest.mark.parametrize("total", [0.5, 1.0 + 1e-5, 2.0])
     def test_row_summing_to_neither_0_nor_1_rejected(self, total):
         with pytest.raises(ValueError, match="sum to 0 or to 1"):
-            SplatLabelField([[0.0, total, 0.0]])
+            dense_field([[0.0, total, 0.0]])
