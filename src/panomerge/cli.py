@@ -133,7 +133,7 @@ def cmd_eval_pq(args) -> int:
             doc.pop("per_class")
     text = json.dumps(doc, indent=1, sort_keys=True)
     if args.out:
-        pio._write_files({args.out: [text.encode()]})
+        pio.write_files({args.out: [text.encode()]})
     else:
         print(text)
     return EXIT_OK
@@ -172,7 +172,7 @@ def cmd_fps(args) -> int:
     selected = fps_select(FrameDescriptors(vectors), **given)
     text = " ".join(str(i) for i in selected)
     if args.out:
-        pio._write_files({args.out: [f"{text}\n".encode()]})
+        pio.write_files({args.out: [f"{text}\n".encode()]})
     else:
         print(text)
     return EXIT_OK

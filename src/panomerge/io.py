@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .masks import DEFAULT_VOID_CLASS, ClassTable, PanopticMap
+from .masks import ClassTable, PanopticMap
 from .uplift import SplatWeightTable
 
 TENSOR_MAGIC = b"PMT1"
@@ -45,7 +45,7 @@ class FormatError(Exception):
 JSON_FIELD_ERRORS = (KeyError, TypeError, AttributeError, OverflowError, ValueError)
 
 
-def _write_files(files: dict) -> None:
+def write_files(files: dict) -> None:
     """Write each path in `files` as the concatenation of its bytes-like
     chunks. Every file is staged as a hidden temp file beside its target and
     moved into place only after all are written, so a crash while writing
@@ -68,7 +68,7 @@ def _tensor_chunks(dtype, shape: tuple, chunks):
     """The bytes-like chunks of a TensorFile of `dtype` and `shape`: its
     header, then each of `chunks` in the stored dtype, converted one at a
     time. Raises once the chunks are exhausted if their elements do not
-    fill `shape`, so `_write_files` leaves no such file behind."""
+    fill `shape`, so `write_files` leaves no such file behind."""
     code = _CODES.get(np.dtype(dtype))
     if code is None:
         raise ValueError(f"unsupported tensor dtype {dtype}")
@@ -87,14 +87,14 @@ def _tensor_chunks(dtype, shape: tuple, chunks):
 
 def write_tensor(path, array: np.ndarray) -> None:
     array = np.asarray(array)
-    _write_files({path: _tensor_chunks(array.dtype, array.shape, [array])})
+    write_files({path: _tensor_chunks(array.dtype, array.shape, [array])})
 
 
 def write_tensor_rows(path, dtype, shape: tuple, rows) -> None:
     """Write a TensorFile of `dtype` and `shape` whose rows (slices along the
     first axis) are the arrays `rows` yields, one row or a block of several
     each, converted one at a time, so no whole converted copy is held."""
-    _write_files({path: _tensor_chunks(dtype, shape, rows)})
+    write_files({path: _tensor_chunks(dtype, shape, rows)})
 
 
 def _read_tensor_header(f, path) -> tuple[np.dtype, tuple]:
@@ -169,14 +169,12 @@ def write_panoptic(path, pmap: PanopticMap) -> None:
     inst = pmap.instance_ids
     if inst.max(initial=0) > np.iinfo(np.uint16).max:
         raise ValueError("instance IDs exceed u16 range")
-    if pmap.class_table.void_class != DEFAULT_VOID_CLASS:  # the sidecar omits it
-        raise ValueError("panoptic files hold only the default void class")
     sidecar = {
         "instance_to_class": {str(k): int(v) for k, v in pmap.instance_to_class.items()},
         "class_table": _table_json(pmap.class_table),
         "void_id": 0,
     }
-    _write_files({
+    write_files({
         path: _tensor_chunks(np.uint16, inst.shape, [inst]),
         _sidecar(path): [json.dumps(sidecar, indent=1, sort_keys=True).encode()],
     })
@@ -197,7 +195,7 @@ def read_panoptic(path) -> PanopticMap:
 
 def write_class_table(path, table: ClassTable) -> None:
     text = json.dumps(_table_json(table), indent=1, sort_keys=True)
-    _write_files({path: [text.encode()]})
+    write_files({path: [text.encode()]})
 
 
 def read_class_table(path) -> ClassTable:
@@ -215,7 +213,7 @@ def write_splats(path, table: SplatWeightTable) -> None:
     records["pixel"] = table.pixels
     records["weight"] = table.weights
     counts = (table.num_splats, table.num_views, table.height, table.width)
-    _write_files({path: [SPLAT_MAGIC, struct.pack("<4I", *counts), records]})
+    write_files({path: [SPLAT_MAGIC, struct.pack("<4I", *counts), records]})
 
 
 def read_splats(path) -> SplatWeightTable:

@@ -17,7 +17,8 @@ from typing import NamedTuple
 import numpy as np
 
 VOID_INSTANCE = 0
-DEFAULT_VOID_CLASS = 65535
+# The class that marks an instance ID as void, in every map and table
+VOID_CLASS = 65535
 # Instance IDs, in the map and as instance_to_class keys, lie in
 # [0, INSTANCE_ID_LIMIT): 0 is void, no ID is negative, and the int32 array
 # that PanopticMap stores holds every ID exactly. Scene PQ's pair keys rely
@@ -27,19 +28,19 @@ INSTANCE_ID_LIMIT = 1 << 24
 
 @dataclass(frozen=True)
 class ClassTable:
-    """Semantic vocabulary: class names, thing/stuff flags, and the void class ID."""
+    """Semantic vocabulary: class names and thing/stuff flags. Class IDs are
+    indices into `names`, all below VOID_CLASS."""
 
     names: tuple[str, ...]
     is_thing: tuple[bool, ...]
-    void_class: int = DEFAULT_VOID_CLASS
 
     def __post_init__(self):
         if len(self.names) < 1:
             raise ValueError("class table must contain at least one class")
         if len(self.is_thing) != len(self.names):
             raise ValueError("is_thing length must match number of class names")
-        if 0 <= self.void_class < len(self.names):
-            raise ValueError("void class ID must not collide with a real class")
+        if len(self.names) > VOID_CLASS:
+            raise ValueError(f"a class table holds at most {VOID_CLASS} classes")
         object.__setattr__(self, "names", tuple(self.names))
         object.__setattr__(self, "is_thing", tuple(bool(t) for t in self.is_thing))
 
@@ -190,7 +191,7 @@ class PanopticMap:
     the same object everywhere. Instance 0 is void. Integer (or bool) ID
     arrays are stored as int32 once their range is checked; the keys of
     `instance_to_class` must lie in the same range, and its values in
-    [0, num_classes) or equal the void class, which marks an ID as void. No
+    [0, num_classes) or equal VOID_CLASS, which marks an ID as void. No
     per-pixel class map is stored: a pixel's class is
     `instance_to_class[instance ID]`.
     """
@@ -216,15 +217,11 @@ class PanopticMap:
         missing = [i for i in ids.tolist() if i != VOID_INSTANCE and i not in to_class]
         if missing:
             raise ValueError(f"instance ID(s) {missing} have no class assignment")
-        table = self.class_table
-        bad = sorted(
-            {c for c in to_class.values() if not 0 <= c < table.num_classes}
-            - {table.void_class}
-        )
+        n = self.class_table.num_classes
+        bad = sorted({c for c in to_class.values() if not 0 <= c < n} - {VOID_CLASS})
         if bad:
             raise ValueError(
-                f"class ID(s) {bad} not in [0, {table.num_classes}) "
-                f"or the void class {table.void_class}"
+                f"class ID(s) {bad} not in [0, {n}) or the void class {VOID_CLASS}"
             )
         object.__setattr__(self, "instance_ids", inst)
         object.__setattr__(self, "instance_to_class", dict(self.instance_to_class))

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import VOID_INSTANCE, ClassTable, PanopticMap
+from .masks import VOID_CLASS, VOID_INSTANCE, ClassTable, PanopticMap
 
 MATCH_IOU = 0.5
 
@@ -58,36 +58,46 @@ def _json_number(x: float) -> float | None:
     return None if math.isnan(x) else x
 
 
-@dataclass
+def _mean(values: list, empty: float) -> float:
+    """The mean of `values`, or `empty` when there are none."""
+    return float(np.mean(values)) if values else empty
+
+
+@dataclass(frozen=True)
 class PqReport:
-    """Per-class rows plus overall and thing/stuff aggregate scores."""
+    """Per-class rows; the overall and thing/stuff scores are derived from
+    them on each access, since a `ClassStats` row stays mutable and a stored
+    score could go stale. Each is the mean over the rows in insertion order,
+    0 (overall) or NaN (a split) with no row to average."""
 
     per_class: dict[int, ClassStats]
     class_table: ClassTable
-    pq: float = 0.0
-    sq: float = 0.0
-    rq: float = 0.0
-    pq_things: float = math.nan
-    pq_stuff: float = math.nan
+
+    def _split(self, thing: bool) -> float:
+        is_thing = self.class_table.is_thing
+        pqs = [st.pq for cid, st in self.per_class.items() if is_thing[cid] == thing]
+        return _mean(pqs, math.nan)
+
+    pq = property(lambda self: _mean([st.pq for st in self.per_class.values()], 0.0))
+    sq = property(lambda self: _mean([st.sq for st in self.per_class.values()], 0.0))
+    rq = property(lambda self: _mean([st.rq for st in self.per_class.values()], 0.0))
+    pq_things = property(lambda self: self._split(True))
+    pq_stuff = property(lambda self: self._split(False))
 
     def to_json_dict(self) -> dict:
-        rows = []
-        for cid in sorted(self.per_class):
-            st = self.per_class[cid]
-            rows.append(
-                {
-                    "class_id": cid,
-                    "name": self.class_table.names[cid],
-                    "is_thing": self.class_table.is_thing[cid],
-                    "iou_sum": st.iou_sum,
-                    "tp": st.tp,
-                    "fp": st.fp,
-                    "fn": st.fn,
-                    "pq": st.pq,
-                    "sq": st.sq,
-                    "rq": st.rq,
-                }
-            )
+        table = self.class_table
+        rows = [
+            {
+                **vars(st),
+                "class_id": cid,
+                "name": table.names[cid],
+                "is_thing": table.is_thing[cid],
+                "pq": st.pq,
+                "sq": st.sq,
+                "rq": st.rq,
+            }
+            for cid, st in sorted(self.per_class.items())
+        ]
         return {
             "pq": self.pq,
             "sq": self.sq,
@@ -109,9 +119,9 @@ def _segments(
     (ID 0, or an ID mapped to the void class) gets index n, the segment count.
     """
     ids, inverse = np.unique(ids, return_inverse=True)
-    to_class, void = pmap.instance_to_class, classes.void_class
-    cls = np.array([to_class.get(i, void) for i in ids.tolist()], np.int64)
-    valid = np.flatnonzero((ids != VOID_INSTANCE) & (cls != void))
+    to_class = pmap.instance_to_class
+    cls = np.array([to_class.get(i, VOID_CLASS) for i in ids.tolist()], np.int64)
+    valid = np.flatnonzero((ids != VOID_INSTANCE) & (cls != VOID_CLASS))
     if ((cls[valid] < 0) | (cls[valid] >= classes.num_classes)).any():
         raise ValueError("label map references a class ID outside the table")
     # IDs ascend, so a stable sort by class orders them as (class, ID)
@@ -197,18 +207,7 @@ def scene_pq(
         for cid in dict.fromkeys(counted.tolist())
     }
 
-    report = PqReport(per_class=per_class, class_table=classes)
-    if per_class:
-        report.pq = float(np.mean([st.pq for st in per_class.values()]))
-        report.sq = float(np.mean([st.sq for st in per_class.values()]))
-        report.rq = float(np.mean([st.rq for st in per_class.values()]))
-    things = [st.pq for cid, st in per_class.items() if classes.is_thing[cid]]
-    stuff = [st.pq for cid, st in per_class.items() if not classes.is_thing[cid]]
-    if things:
-        report.pq_things = float(np.mean(things))
-    if stuff:
-        report.pq_stuff = float(np.mean(stuff))
-    return report
+    return PqReport(per_class, classes)
 
 
 @dataclass
@@ -234,7 +233,7 @@ def dataset_pq(reports: list[PqReport]) -> DatasetSummary:
     stuff = [r.pq_stuff for r in reports if not math.isnan(r.pq_stuff)]
     return DatasetSummary(
         pq=float(np.mean([r.pq for r in reports])),
-        pq_things=float(np.mean(things)) if things else math.nan,
-        pq_stuff=float(np.mean(stuff)) if stuff else math.nan,
+        pq_things=_mean(things, math.nan),
+        pq_stuff=_mean(stuff, math.nan),
         num_scenes=len(reports),
     )

@@ -152,57 +152,81 @@ def test_no_dead_definitions():
     assert dead_definitions(sources, panomerge.__all__) == []
 
 
-def unlocked_caches(source: str) -> list[str]:
-    """Classes that define a functools.cached_property but whose __post_init__
-    sets no `flags.writeable = False`: a cached index over arrays the caller
-    can still write would go stale."""
+def cached_properties(source: str) -> list[str]:
+    """Each import of `functools.cached_property` and each `x.cached_property`
+    read: a cached value is derived state stored beside the fields it derives
+    from."""
     found = []
-    for cls in ast.walk(ast.parse(source)):
-        if not isinstance(cls, ast.ClassDef):
-            continue
-        methods = [n for n in cls.body if isinstance(n, ast.FunctionDef)]
-        caches = any(
-            ast.unparse(d).split(".")[-1] == "cached_property"
-            for n in methods
-            for d in n.decorator_list
-        )
-        locks = any(
-            isinstance(a, ast.Assign)
-            and any(ast.unparse(t).endswith("flags.writeable") for t in a.targets)
-            and isinstance(a.value, ast.Constant)
-            and a.value.value is False
-            for n in methods
-            if n.name == "__post_init__"
-            for a in ast.walk(n)
-        )
-        if caches and not locks:
-            found.append(cls.name)
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr == "cached_property":
+            found.append(ast.unparse(node))
+        elif isinstance(node, ast.alias) and node.name == "cached_property":
+            found.append(node.name)
     return found
 
 
-def test_detects_unlocked_cache():
+def test_detects_cached_property():
     source = (
-        "import functools\nfrom functools import cached_property\n"
-        "class Locked:\n"
-        "    def __post_init__(self):\n"
-        "        self.values.flags.writeable = False\n"
-        "    @cached_property\n"
-        "    def index(self): pass\n"
-        "class Unlocked:\n"
-        "    def __post_init__(self):\n"
-        "        self.values.flags.writeable = True\n"
+        "import functools\nfrom functools import cached_property as cp\n"
+        "class Cached:\n"
         "    @functools.cached_property\n"
         "    def index(self): pass\n"
-        "class Uncached:\n"
+        "class Derived:\n"
         "    @property\n"
         "    def index(self): pass\n"
     )
-    assert unlocked_caches(source) == ["Unlocked"]
+    assert cached_properties(source) == ["cached_property", "functools.cached_property"]
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
-def test_cached_indices_have_locked_arrays(path):
-    assert unlocked_caches(path.read_text()) == []
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_cached_properties(path):
+    assert cached_properties(path.read_text()) == []
+
+
+def is_private(name: str) -> bool:
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source: str) -> list[str]:
+    """Private names (`_name`) read from another panomerge module: imported by
+    `from .m import _name`, or read as `alias._name` of an imported panomerge
+    module or of a name imported from the package."""
+    tree = ast.parse(source)
+    modules, found = set(), []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            if node.level or (node.module or "").split(".")[0] == "panomerge":
+                found += [a.name for a in node.names if is_private(a.name)]
+                if node.module in (None, "panomerge"):  # `from . import io as pio`
+                    modules |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            for a in node.names:
+                if a.name.split(".")[0] == "panomerge":
+                    modules.add(a.asname or a.name)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and is_private(node.attr):
+            if ast.unparse(node.value) in modules:
+                found.append(node.attr)
+    return sorted(found)
+
+
+def test_detects_private_reads():
+    source = (
+        "import numpy as np\nimport panomerge.io\nimport panomerge.masks as pm\n"
+        "from . import io as pio\nfrom .masks import _support, SoftMaskSet\n"
+        "from panomerge.qubo import _flip\n"
+        "pio._write_files({}); pm._check(); panomerge.io._header(b'')\n"
+        "pio.write_files({}); pio.__name__; np._core; self._cache\n"
+        "def _own(): pass\n_own()\n"
+    )
+    assert private_reads(source) == sorted(
+        ["_support", "_flip", "_write_files", "_check", "_header"]
+    )
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_private_reads_across_modules(path):
+    assert private_reads(path.read_text()) == []
 
 
 # Mask sets and label fields are validated where one is made or read, and

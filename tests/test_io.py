@@ -220,15 +220,6 @@ class TestPanopticFile:
         assert present <= {int(k) for k in sidecar["instance_to_class"]}
         assert sidecar["void_id"] == 0
 
-    def test_non_default_void_class_rejected(self, tmp_path):
-        table = ClassTable(("a", "b"), (True, False), void_class=7)
-        pmap = PanopticMap.from_instances(
-            np.array([[[1, 2], [0, 1]]]), {1: 0, 2: 7}, table
-        )
-        with pytest.raises(ValueError, match="default void class"):
-            write_panoptic(tmp_path / "p.pmt", pmap)
-        assert list(tmp_path.iterdir()) == []
-
     def test_json_target_rejected_before_writing(self, tmp_path):
         table = ClassTable(("a",), (True,))
         pmap = PanopticMap.from_instances(np.array([[[1, 0]]]), {1: 0}, table)

@@ -13,6 +13,7 @@ from panomerge import (
     pairwise_overlap,
     weighted_area,
 )
+from panomerge.masks import VOID_CLASS
 
 from conftest import make_mask_set, random_mask_set, rounding_values
 
@@ -129,8 +130,11 @@ class TestValidation:
             make_mask_set(np.ones((2, 1, 2, 2)), class_probs=np.ones((3, 3)))
 
     def test_void_class_must_not_collide(self):
-        with pytest.raises(ValueError):
-            ClassTable(("a", "b"), (True, False), void_class=1)
+        # class IDs run up to len(names) - 1, so the void class stays clear
+        names = tuple(map(str, range(VOID_CLASS)))
+        assert ClassTable(names, (True,) * VOID_CLASS).num_classes == VOID_CLASS
+        with pytest.raises(ValueError, match=f"at most {VOID_CLASS} classes"):
+            ClassTable((*names, "x"), (True,) * (VOID_CLASS + 1))
 
     def test_nan_values_rejected(self):
         values = np.full((1, 1, 2, 2), 0.5)
@@ -297,8 +301,8 @@ class TestPanopticMap:
 
     def test_void_class_accepted(self):
         table = ClassTable(("chair", "bag", "wall"), (True, True, False))
-        pmap = PanopticMap(np.array([[[1, 2]]]), {1: 2, 2: table.void_class}, table)
-        assert pmap.instance_to_class == {1: 2, 2: table.void_class}
+        pmap = PanopticMap(np.array([[[1, 2]]]), {1: 2, 2: VOID_CLASS}, table)
+        assert pmap.instance_to_class == {1: 2, 2: VOID_CLASS}
 
     def test_instance_without_class_rejected(self):
         table = ClassTable(("chair", "bag", "wall"), (True, True, False))

@@ -1,4 +1,6 @@
+import dataclasses
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from panomerge import ClassTable, PanopticMap, dataset_pq, iou, scene_pq
-from panomerge.masks import INSTANCE_ID_LIMIT, VOID_INSTANCE
+from panomerge.masks import INSTANCE_ID_LIMIT, VOID_CLASS, VOID_INSTANCE
 from panomerge.metrics import MATCH_IOU, ClassStats, PqReport
 
 
@@ -194,10 +196,10 @@ class TestScenePq:
     @pytest.mark.parametrize("cid", [-1, 3])
     def test_class_outside_table_raises(self, table, cid):
         # a map holds only classes of its own table; score it against another
-        wider = ClassTable(
-            (*table.names, "cup"), (*table.is_thing, True), void_class=-1
-        )
-        bad = pmap([[[1, 2]]], {1: 0, 2: cid}, wider)
+        # (class 3), or against its own once its class dict is edited (-1)
+        wider = ClassTable((*table.names, "cup"), (*table.is_thing, True))
+        bad = pmap([[[1, 2]]], {1: 0, 2: 3}, wider)
+        bad.instance_to_class[2] = cid
         good = pmap([[[1, 1]]], {1: 0}, table)
         for pred, gt in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="outside the table"):
@@ -219,27 +221,23 @@ class TestScenePq:
 
 
 class TestDatasetPq:
-    def _report(self, pq, table):
-        gt = pmap(np.ones((1, 2, 2), dtype=int), {1: 0}, table)
-        rep = scene_pq(gt, gt, table)
-        rep.pq = pq
-        rep.pq_things = pq
-        rep.pq_stuff = pq
-        return rep
+    def _report(self, pq):
+        # dataset_pq reads only these three scores of each scene report
+        return SimpleNamespace(pq=pq, pq_things=pq, pq_stuff=pq)
 
-    def test_single_scene_identity(self, table):
-        rep = self._report(73.0, table)
+    def test_single_scene_identity(self):
+        rep = self._report(73.0)
         summary = dataset_pq([rep])
         assert summary.pq == 73.0
 
-    def test_mean_of_two(self, table):
-        summary = dataset_pq([self._report(40.0, table), self._report(60.0, table)])
+    def test_mean_of_two(self):
+        summary = dataset_pq([self._report(40.0), self._report(60.0)])
         assert summary.pq == 50.0
 
-    def test_matches_scripted_mean(self, table):
+    def test_matches_scripted_mean(self):
         rng = np.random.default_rng(8)
         pqs = rng.random(12) * 100.0
-        reports = [self._report(v, table) for v in pqs]
+        reports = [self._report(v) for v in pqs]
         expected = sum(pqs) / 12.0
         assert dataset_pq(reports).pq == pytest.approx(expected)
 
@@ -276,12 +274,12 @@ class TestSerialization:
 def ref_segment_codes(pmap, classes):
     ids, inverse = np.unique(pmap.instance_ids, return_inverse=True)
     ids = ids.astype(np.int64)
-    void, to_class = classes.void_class, pmap.instance_to_class
+    to_class = pmap.instance_to_class
     cls = np.array(
-        [void if i == VOID_INSTANCE else to_class[i] for i in ids.tolist()],
+        [VOID_CLASS if i == VOID_INSTANCE else to_class[i] for i in ids.tolist()],
         dtype=np.int64,
     )
-    valid = (ids != VOID_INSTANCE) & (cls != classes.void_class)
+    valid = (ids != VOID_INSTANCE) & (cls != VOID_CLASS)
     if ((cls[valid] < 0) | (cls[valid] >= classes.num_classes)).any():
         raise ValueError("label map references a class ID outside the table")
     is_thing = np.zeros(ids.shape, dtype=bool)
@@ -351,19 +349,48 @@ def ref_scene_pq(pred, gt, classes, void_exemption=True):
             continue
         stats(p // INSTANCE_ID_LIMIT).fp += 1
 
-    report = PqReport(per_class=per_class, class_table=classes)
+    return per_class
+
+
+def ref_scores(per_class, classes):
+    """The five aggregate scores as scene_pq stored them before they were
+    derived: computed once, eagerly, from the finished rows."""
+    scores = dict(pq=0.0, sq=0.0, rq=0.0, pq_things=math.nan, pq_stuff=math.nan)
     present = list(per_class.values())
     if present:
-        report.pq = float(np.mean([s.pq for s in present]))
-        report.sq = float(np.mean([s.sq for s in present]))
-        report.rq = float(np.mean([s.rq for s in present]))
+        scores["pq"] = float(np.mean([s.pq for s in present]))
+        scores["sq"] = float(np.mean([s.sq for s in present]))
+        scores["rq"] = float(np.mean([s.rq for s in present]))
     things = [s.pq for cid, s in per_class.items() if classes.is_thing[cid]]
     stuff = [s.pq for cid, s in per_class.items() if not classes.is_thing[cid]]
     if things:
-        report.pq_things = float(np.mean(things))
+        scores["pq_things"] = float(np.mean(things))
     if stuff:
-        report.pq_stuff = float(np.mean(stuff))
-    return report
+        scores["pq_stuff"] = float(np.mean(stuff))
+    return scores
+
+
+def ref_json_rows(per_class, classes):
+    """The per-class JSON rows as written field by field before they were
+    built from each row's own fields."""
+    rows = []
+    for cid in sorted(per_class):
+        st_ = per_class[cid]
+        rows.append(
+            {
+                "class_id": cid,
+                "name": classes.names[cid],
+                "is_thing": classes.is_thing[cid],
+                "iou_sum": st_.iou_sum,
+                "tp": st_.tp,
+                "fp": st_.fp,
+                "fn": st_.fn,
+                "pq": st_.pq,
+                "sq": st_.sq,
+                "rq": st_.rq,
+            }
+        )
+    return rows
 
 
 @st.composite
@@ -377,7 +404,7 @@ def scored_pairs(draw):
     n_cls = draw(st.integers(1, 4))
     flags = draw(st.lists(st.booleans(), min_size=n_cls, max_size=n_cls))
     table = ClassTable(tuple("abcd"[:n_cls]), tuple(flags))
-    class_of = st.one_of(st.integers(0, n_cls - 1), st.just(table.void_class))
+    class_of = st.one_of(st.integers(0, n_cls - 1), st.just(VOID_CLASS))
     ids = st.integers(1, INSTANCE_ID_LIMIT - 1)
     pool = draw(st.lists(ids, unique=True, max_size=6))
     shape = draw(st.tuples(st.integers(1, 2), st.integers(1, 4), st.integers(1, 5)))
@@ -411,9 +438,60 @@ def test_scene_pq_matches_code_dict_reference(scene, void_exemption):
     got = scene_pq(pred, gt, table, void_exemption=void_exemption)
     want = ref_scene_pq(pred, gt, table, void_exemption=void_exemption)
 
-    def rows(report):
-        return {c: (s.tp, s.fp, s.fn, s.iou_sum) for c, s in report.per_class.items()}
+    def rows(per_class):
+        return {c: (s.tp, s.fp, s.fn, s.iou_sum) for c, s in per_class.items()}
 
-    assert rows(got) == rows(want)
-    for name in ("pq", "sq", "rq", "pq_things", "pq_stuff"):
-        assert same_float(getattr(got, name), getattr(want, name)), name
+    assert rows(got.per_class) == rows(want)
+    for name, value in ref_scores(want, table).items():
+        assert same_float(getattr(got, name), value), name
+
+
+class TestDerivedScores:
+    def test_hand_built_report_is_the_mean_of_its_rows(self, table):
+        rows = {0: ClassStats(0.8, tp=1), 2: ClassStats(0.0, fn=1)}
+        report = PqReport(rows, table)
+        assert (report.pq, report.sq, report.rq) == (40.0, 40.0, 50.0)
+        assert (report.pq_things, report.pq_stuff) == (80.0, 0.0)
+        assert report.to_json_dict()["pq"] == 40.0
+
+    def test_scores_cannot_be_assigned(self, table):
+        report = PqReport({0: ClassStats(0.8, tp=1)}, table)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            report.pq = 0.0
+        assert [f.name for f in dataclasses.fields(PqReport)] == [
+            "per_class", "class_table",
+        ]
+
+    def test_scores_follow_the_rows(self, table):
+        # ClassStats stays mutable, so a stored score would go stale
+        rows = {0: ClassStats(0.8, tp=1)}
+        report = PqReport(rows, table)
+        rows[0].fn += 1
+        assert report.pq == pytest.approx(100.0 * 0.8 / 1.5)
+
+
+@st.composite
+def class_rows(draw):
+    """A class table and per-class rows over a random subset of its classes,
+    in random insertion order: none, things only, stuff only, or both."""
+    n_cls = draw(st.integers(1, 5))
+    flags = draw(st.lists(st.booleans(), min_size=n_cls, max_size=n_cls))
+    table = ClassTable(tuple("abcde"[:n_cls]), tuple(flags))
+    cids = draw(st.permutations(range(n_cls)))[: draw(st.integers(0, n_cls))]
+    counts = st.integers(0, 50)
+    per_class = {}
+    for cid in cids:
+        tp = draw(counts)
+        iou_sum = draw(st.floats(0.5, 1.0)) * tp if tp else 0.0
+        per_class[cid] = ClassStats(iou_sum, tp, draw(counts), draw(counts))
+    return table, per_class
+
+
+@settings(max_examples=300, deadline=None)
+@given(class_rows())
+def test_derived_scores_match_eager_reference(rows):
+    table, per_class = rows
+    report = PqReport(per_class, table)
+    for name, value in ref_scores(per_class, table).items():
+        assert same_float(getattr(report, name), value), name
+    assert report.to_json_dict()["per_class"] == ref_json_rows(per_class, table)
