@@ -25,7 +25,7 @@ from .keyframe import FrameDescriptors, fps_select
 from .masks import PanopticMap, SoftMaskSet
 from .merging import BaselineConfig, MergeConfig, merge_baseline, merge_qubo
 from .metrics import dataset_pq, scene_pq
-from .qubo import DEFAULT_PENALTY, AnnealConfig, QuboInstance, solve_anneal, solve_exact
+from .qubo import AnnealConfig, QuboInstance, solve_anneal, solve_exact
 from .synthgen import CorruptionSpec, SceneSpec, generate_scene
 from .uplift import SplatLabelField, render_labels, uplift_labels
 
@@ -182,11 +182,9 @@ def cmd_solve_qubo(args) -> int:
     cfg = _config(AnnealConfig, args)
     try:
         doc = json.loads(Path(args.instance).read_text())
-        fields = (
-            np.asarray(doc["linear"], dtype=np.float64),
-            np.asarray(doc["quadratic"], dtype=np.float64),
-            float(doc.get("penalty", DEFAULT_PENALTY)),
-        )
+        fields = [np.asarray(doc[k], dtype=np.float64) for k in ("linear", "quadratic")]
+        if "penalty" in doc:
+            fields.append(float(doc["penalty"]))
     except pio.JSON_FIELD_ERRORS as exc:
         raise pio.FormatError(f"{args.instance}: bad QUBO instance: {exc}") from exc
     q = QuboInstance(*fields)

@@ -11,7 +11,9 @@ void.
 from __future__ import annotations
 
 import math
+from collections.abc import Mapping
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import NamedTuple
 
 import numpy as np
@@ -193,11 +195,11 @@ class PanopticMap:
     `instance_to_class` must lie in the same range, and its values in
     [0, num_classes) or equal VOID_CLASS, which marks an ID as void. No
     per-pixel class map is stored: a pixel's class is
-    `instance_to_class[instance ID]`.
+    `instance_to_class[instance ID]`, a read-only view of the map's own copy.
     """
 
     instance_ids: np.ndarray
-    instance_to_class: dict[int, int]
+    instance_to_class: Mapping[int, int]
     class_table: ClassTable = field(compare=False)
 
     def __post_init__(self):
@@ -224,13 +226,13 @@ class PanopticMap:
                 f"class ID(s) {bad} not in [0, {n}) or the void class {VOID_CLASS}"
             )
         object.__setattr__(self, "instance_ids", inst)
-        object.__setattr__(self, "instance_to_class", dict(self.instance_to_class))
+        object.__setattr__(self, "instance_to_class", MappingProxyType(dict(to_class)))
 
     @classmethod
     def from_instances(
         cls,
         instance_ids: np.ndarray,
-        instance_to_class: dict[int, int],
+        instance_to_class: Mapping[int, int],
         class_table: ClassTable,
     ) -> "PanopticMap":
         """Build a map from an instance-ID tensor and its instance->class table."""

@@ -75,14 +75,16 @@ def _scatter_argmax(
     touches only its nonzero pixels (read from `masks.support`) and no
     (k, pixels) stack is built. A pixel no query takes keeps winner 0 and
     queries[0]'s value there, which is nonzero where weights[0] * value is 0.
+    With no queries, every pixel gets winner 0 and value 0.
     """
     sup = masks.support
     ptr = sup.indptr.tolist()
     best = np.zeros(math.prod(masks.shape[1:]))
     winner = np.zeros(best.size, dtype=np.intp)
     value = np.zeros(best.size)
-    q0 = queries[0]
-    value[sup.pixels[ptr[q0] : ptr[q0 + 1]]] = sup.values[ptr[q0] : ptr[q0 + 1]]
+    if queries.size:
+        q0 = queries[0]
+        value[sup.pixels[ptr[q0] : ptr[q0 + 1]]] = sup.values[ptr[q0] : ptr[q0 + 1]]
     for k, q in enumerate(queries.tolist()):
         idx = sup.pixels[ptr[q] : ptr[q + 1]]
         raw = sup.values[ptr[q] : ptr[q + 1]]
@@ -136,9 +138,6 @@ def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMa
     chosen = keep[assignment.selected()]
     if chosen.size == 0:
         warnings.warn("no proposal was kept and selected; output is void")
-        void = np.zeros(math.prod(masks.shape[1:]), dtype=np.intp)
-        return _assemble(masks, void.astype(bool), void, chosen)
-
     win_val, winner = _scatter_argmax(masks, chosen, np.ones(chosen.size))
     labeled = (win_val > 0.0) & (win_val >= cfg.void_threshold)
     return _assemble(masks, labeled, winner, chosen)
@@ -162,10 +161,6 @@ def merge_baseline(
     cfg = cfg or BaselineConfig()
     conf = masks.class_probs.max(axis=1)
     keep = np.flatnonzero(conf >= cfg.confidence_threshold)
-    if keep.size == 0:
-        void = np.zeros(math.prod(masks.shape[1:]), dtype=np.intp)
-        return _assemble(masks, void.astype(bool), void, keep)
-
     m, n = masks.num_queries, masks.num_views
     win_mask_val, winner = _scatter_argmax(masks, keep, conf[keep])
     labeled = (win_mask_val >= 0.5).reshape(n, -1)
@@ -183,5 +178,5 @@ def merge_baseline(
     votes = (views * keep.size + winner)[labeled]
     support = np.bincount(votes, minlength=area.size).reshape(area.shape)
     drop = support < cfg.vote_support_threshold * area
-    labeled &= ~drop[views, winner]
+    labeled[labeled] = ~drop.ravel()[votes]
     return _assemble(masks, labeled, winner, keep)

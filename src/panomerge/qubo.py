@@ -27,14 +27,15 @@ SWEEP_BLOCK = 64
 
 @dataclass(frozen=True)
 class QuboInstance:
-    """Linear weights, symmetric pairwise overlaps, and the overlap penalty."""
+    """Linear weights, symmetric pairwise overlaps, and the overlap penalty.
+    Both arrays are stored as read-only float64 copies."""
 
     linear: np.ndarray
     quadratic: np.ndarray
     penalty: float = DEFAULT_PENALTY
 
     def __post_init__(self):
-        lin = np.asarray(self.linear, dtype=np.float64).ravel()
+        lin = np.array(np.ravel(self.linear), dtype=np.float64)
         quad = np.asarray(self.quadratic, dtype=np.float64)
         m = lin.shape[0]
         if quad.shape != (m, m):
@@ -50,6 +51,8 @@ class QuboInstance:
         # the diagonal is unused; zero it so incremental updates need no masking
         quad = quad.copy()
         np.fill_diagonal(quad, 0.0)
+        lin.flags.writeable = False
+        quad.flags.writeable = False
         object.__setattr__(self, "linear", lin)
         object.__setattr__(self, "quadratic", quad)
 
@@ -303,14 +306,10 @@ def solve_anneal(q: QuboInstance, cfg: AnnealConfig | None = None) -> Assignment
     start = _greedy_bits(q, nbrs)
     field = _field(q, start)
     start_obj = objective(q, start)
-    best_bits = None
-    best_obj = -math.inf
-    for r in range(cfg.restarts):
-        bits = _anneal_once(
-            q, cfg, cfg.seed + r, nbrs, start.copy(), field.copy(), start_obj
-        )
-        obj = objective(q, bits)
-        if obj > best_obj:
-            best_obj = obj
-            best_bits = bits
-    return Assignment(best_bits, best_obj)
+    runs = [
+        _anneal_once(q, cfg, cfg.seed + r, nbrs, start.copy(), field.copy(), start_obj)
+        for r in range(cfg.restarts)
+    ]
+    objs = [objective(q, bits) for bits in runs]
+    best = int(np.argmax(objs))
+    return Assignment(runs[best], objs[best])

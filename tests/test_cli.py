@@ -675,6 +675,17 @@ class TestSolveQubo:
         assert "u=[1, 0]" in out
         assert "objective=32.0" in out
 
+    @pytest.mark.parametrize(
+        "extra, bits", [({}, "[1, 0]"), ({"penalty": 1.2}, "[1, 1]")]
+    )
+    def test_penalty_left_out_is_the_default(self, tmp_path, capsys, extra, bits):
+        # both bits score 6 - 2 * penalty: below one bit's 3 at the default 2.0
+        instance = {"linear": [3.0, 3.0], "quadratic": [[0, 2.0], [2.0, 0]], **extra}
+        path = tmp_path / "q.json"
+        path.write_text(json.dumps(instance))
+        assert run(["solve-qubo", path, "--exact"]) == 0
+        assert f"u={bits}" in capsys.readouterr().out
+
     def test_anneal_deterministic(self, tmp_path, capsys):
         instance = {
             "linear": [3.0, 2.0, 1.0],

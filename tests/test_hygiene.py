@@ -326,3 +326,37 @@ def test_detects_copied_default():
 
 def test_cli_copies_no_library_default():
     assert copied_defaults((SRC / "cli.py").read_text()) == []
+
+
+def default_reads(source: str) -> list[str]:
+    """`DEFAULT_*` names that a module imports or reads, bare or as an
+    attribute: a library default copied into the CLI."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name):
+            name = node.id
+        elif isinstance(node, ast.Attribute):
+            name = node.attr
+        elif isinstance(node, ast.alias):
+            name = node.name
+        else:
+            continue
+        if name.startswith("DEFAULT_"):
+            found.append(name)
+    return sorted(found)
+
+
+def test_detects_default_reads():
+    source = (
+        "from .qubo import DEFAULT_PENALTY, AnnealConfig\n"
+        "from . import merging\n"
+        "p = doc.get('penalty', DEFAULT_PENALTY)\n"
+        "r = merging.DEFAULT_RATE\n"
+        "q = doc.get('penalty', default_penalty)\n"
+    )
+    expected = ["DEFAULT_PENALTY", "DEFAULT_PENALTY", "DEFAULT_RATE"]
+    assert default_reads(source) == expected
+
+
+def test_cli_reads_no_library_default():
+    assert default_reads((SRC / "cli.py").read_text()) == []

@@ -177,6 +177,25 @@ def zero_confidence_float_masks(draw):
     return make_mask_set(values, class_probs=probs)
 
 
+@st.composite
+def masks_all_dropped(draw):
+    """Float masks (m 1-6) and a cut in (every confidence, 1]: as a confidence
+    prefilter or threshold it drops every query."""
+    m = draw(st.integers(1, 6))
+    shape = draw(st.tuples(st.integers(1, 3), st.integers(1, 5), st.integers(1, 5)))
+    element = st.one_of(st.just(0.0), st.floats(0.0, 1.0))
+    values = draw(arrays(np.float64, (m, *shape), elements=element))
+    probs = draw(arrays(np.float64, (m, 3), elements=st.floats(0.0, 0.99)))
+    cut = draw(st.floats(np.nextafter(probs.max(), 1.0), 1.0))
+    return make_mask_set(values, class_probs=probs), cut
+
+
+def assert_all_void(pmap, masks):
+    assert pmap.instance_ids.shape == masks.shape[1:]
+    assert not pmap.instance_ids.any()
+    assert pmap.instance_to_class == {}
+
+
 def assert_same_map(a, b):
     np.testing.assert_array_equal(a.instance_ids, b.instance_ids)
     assert a.instance_ids.dtype == b.instance_ids.dtype
@@ -262,6 +281,16 @@ class TestMergeQubo:
         with pytest.warns(UserWarning):
             result = merge_qubo(masks, MergeConfig(confidence_prefilter=0.9))
         assert (result.instance_ids == 0).all()
+        assert result.instance_to_class == {}
+
+    @given(masks_all_dropped(), st.sampled_from(["anneal", "exact"]))
+    @settings(max_examples=40, deadline=None)
+    def test_every_query_prefiltered_gives_all_void(self, case, solver):
+        masks, cut = case
+        cfg = MergeConfig(confidence_prefilter=cut, solver=solver)
+        with pytest.warns(UserWarning, match="no proposal"):
+            result = merge_qubo(masks, cfg)
+        assert_all_void(result, masks)
 
     def test_output_classes_consistent(self):
         _, proposals, _ = generate_scene(
@@ -367,6 +396,14 @@ class TestMergeBaseline:
         )
         result = merge_baseline(masks, BaselineConfig(confidence_threshold=0.5))
         assert (result.instance_ids == 0).all()
+        assert result.instance_to_class == {}
+
+    @given(masks_all_dropped(), st.floats(0.0, 1.0))
+    @settings(max_examples=40, deadline=None)
+    def test_every_query_below_threshold_gives_all_void(self, case, vote_threshold):
+        masks, cut = case
+        cfg = BaselineConfig(cut, vote_threshold)
+        assert_all_void(merge_baseline(masks, cfg), masks)
 
     def test_map_invariants_hold(self):
         _, proposals, _ = generate_scene(

@@ -193,17 +193,25 @@ class TestScenePq:
             0: (0, 1, 0), 2: (0, 1, 0),
         }
 
-    @pytest.mark.parametrize("cid", [-1, 3])
+    @pytest.mark.parametrize("cid", [3])
     def test_class_outside_table_raises(self, table, cid):
         # a map holds only classes of its own table; score it against another
-        # (class 3), or against its own once its class dict is edited (-1)
         wider = ClassTable((*table.names, "cup"), (*table.is_thing, True))
-        bad = pmap([[[1, 2]]], {1: 0, 2: 3}, wider)
-        bad.instance_to_class[2] = cid
+        bad = pmap([[[1, 2]]], {1: 0, 2: cid}, wider)
         good = pmap([[[1, 1]]], {1: 0}, table)
         for pred, gt in ((bad, good), (good, bad)):
             with pytest.raises(ValueError, match="outside the table"):
                 scene_pq(pred, gt, table)
+
+    def test_class_dict_refuses_edits(self, table):
+        # so a scored map's classes are the ones its constructor checked
+        mapping = {1: 0}
+        good = pmap([[[1, 1]]], mapping, table)
+        mapping[1] = -1
+        with pytest.raises(TypeError):
+            good.instance_to_class[1] = -1
+        assert good.instance_to_class == {1: 0}
+        assert scene_pq(good, good, table).pq == 100.0
 
     def test_thing_stuff_split(self, table):
         gt = np.zeros((1, 2, 4), dtype=int)

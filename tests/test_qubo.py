@@ -479,3 +479,15 @@ class TestQuboInstance:
     def test_non_finite_rejected(self, linear, quadratic, penalty):
         with pytest.raises(ValueError, match="finite"):
             QuboInstance(np.array(linear), np.array(quadratic), penalty)
+
+    def test_owns_read_only_arrays(self):
+        # a caller's later edit cannot reach the weights the solver reads
+        linear = np.array([1.0, 2.0])
+        quadratic = np.zeros((2, 2))
+        q = QuboInstance(linear, quadratic)
+        linear[0] = quadratic[0, 1] = np.nan
+        assert q.linear.tolist() == [1.0, 2.0] and not q.quadratic.any()
+        for stored in (q.linear, q.quadratic):
+            with pytest.raises(ValueError, match="read-only"):
+                stored.flat[0] = np.nan
+        assert solve_anneal(q).bits.tolist() == [True, True]
