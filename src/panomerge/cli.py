@@ -97,7 +97,7 @@ def _upsample_nearest(pmap: PanopticMap, height: int, width: int) -> PanopticMap
         )
     fy, fx = height // pmap.height, width // pmap.width
     inst = np.repeat(np.repeat(pmap.instance_ids, fy, axis=1), fx, axis=2)
-    return PanopticMap.from_instances(inst, pmap.instance_to_class, pmap.class_table)
+    return PanopticMap(inst, pmap.instance_to_class, pmap.class_table)
 
 
 def _eval_pair(pred_path, gt_path, void_exemption: bool):
@@ -143,8 +143,10 @@ def cmd_uplift(args) -> int:
     labels = pio.read_panoptic(args.labels)
     splats = pio.read_splats(args.splats)
     field = uplift_labels(labels, splats)
-    blocks = np.array_split(field.distributions, 16)  # converted one at a time
-    pio.write_tensor_rows(args.out, np.float32, field.shape, blocks)
+    indptr, ids, masses = field.support
+    dense = np.zeros(field.shape, dtype=np.float32)  # filled only at the support
+    dense[np.repeat(np.arange(field.shape[0]), np.diff(indptr)), ids] = masses
+    pio.write_tensor(args.out, dense)
     print(f"uplifted onto {int(field.observed.sum())} observed splats")
     return EXIT_OK
 
@@ -160,7 +162,7 @@ def cmd_render_labels(args) -> int:
     # the classes the labels give the rendered IDs; PanopticMap names any gap
     ids = set(np.unique(rendered).tolist()) - {0}
     mapping = {i: c for i, c in labels.instance_to_class.items() if i in ids}
-    pmap = PanopticMap.from_instances(rendered, mapping, labels.class_table)
+    pmap = PanopticMap(rendered, mapping, labels.class_table)
     pio.write_panoptic(args.out, pmap)
     print(f"rendered {rendered.shape[0]} view(s)")
     return EXIT_OK

@@ -8,7 +8,8 @@ PanopticFile: instance map as a u16 TensorFile (N, H, W) plus a JSON sidecar
 SplatFile:    magic "PSW1", counts G, N, H, W (u32 LE), then a stream of
               (splat_id u32, view u16, pixel u32, weight f32) records.
 
-TensorFile readers return the stored dtype; each container widens its input.
+TensorFile and SplatFile readers return the stored dtypes; each container
+widens its input.
 """
 
 from __future__ import annotations
@@ -30,6 +31,8 @@ SPLAT_MAGIC = b"PSW1"
 _DTYPES = {1: np.dtype("<f4"), 2: np.dtype("<u2"), 3: np.dtype("u1")}
 _CODES = {np.dtype("float32"): 1, np.dtype("uint16"): 2, np.dtype("uint8"): 3}
 
+# The record dtype's field order is SplatWeightTable's column order: each
+# record field is read into, and written from, the column at its position.
 _SPLAT_RECORD = np.dtype(
     [("splat", "<u4"), ("view", "<u2"), ("pixel", "<u4"), ("weight", "<f4")]
 )
@@ -190,7 +193,7 @@ def read_panoptic(path) -> PanopticMap:
         mapping = {int(k): int(v) for k, v in meta["instance_to_class"].items()}
     except JSON_FIELD_ERRORS as exc:
         raise FormatError(f"{_sidecar(path)}: bad sidecar: {exc}") from exc
-    return PanopticMap.from_instances(inst, mapping, table)
+    return PanopticMap(inst, mapping, table)
 
 
 def write_class_table(path, table: ClassTable) -> None:
@@ -208,10 +211,9 @@ def read_class_table(path) -> ClassTable:
 
 def write_splats(path, table: SplatWeightTable) -> None:
     records = np.empty(table.num_records, dtype=_SPLAT_RECORD)
-    records["splat"] = table.splat_ids
-    records["view"] = table.views
-    records["pixel"] = table.pixels
-    records["weight"] = table.weights
+    columns = (table.splat_ids, table.views, table.pixels, table.weights)
+    for name, column in zip(_SPLAT_RECORD.names, columns):
+        records[name] = column
     counts = (table.num_splats, table.num_views, table.height, table.width)
     write_files({path: [SPLAT_MAGIC, struct.pack("<4I", *counts), records]})
 
@@ -224,21 +226,12 @@ def read_splats(path) -> SplatWeightTable:
         raw = f.read(16)
         if len(raw) != 16:
             raise FormatError(f"{path}: truncated splat header")
-        num_splats, num_views, height, width = struct.unpack("<4I", raw)
+        counts = struct.unpack("<4I", raw)
         size = os.fstat(f.fileno()).st_size - f.tell()
         if size % _SPLAT_RECORD.itemsize:
             raise FormatError(f"{path}: splat record stream length mismatch")
         records = np.fromfile(f, dtype=_SPLAT_RECORD)
     try:
-        return SplatWeightTable(
-            num_splats=num_splats,
-            num_views=num_views,
-            height=height,
-            width=width,
-            splat_ids=records["splat"].astype(np.int64),
-            views=records["view"].astype(np.int64),
-            pixels=records["pixel"].astype(np.int64),
-            weights=records["weight"].astype(np.float64),
-        )
+        return SplatWeightTable(*counts, *(records[n] for n in _SPLAT_RECORD.names))
     except ValueError as exc:
         raise FormatError(f"{path}: invalid splat table: {exc}") from exc

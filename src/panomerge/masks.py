@@ -11,8 +11,8 @@ void.
 from __future__ import annotations
 
 import math
-from collections.abc import Mapping
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Mapping
+from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -65,11 +65,11 @@ class MaskSupport(NamedTuple):
     bits: np.ndarray
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SoftMaskSet:
     """A set of m soft mask proposals over N views of H x W pixels.
 
-    values:       a dense (m, N, H, W) array, or any iterable of m (N, H, W)
+    rows:         a dense (m, N, H, W) array, or any iterable of m (N, H, W)
                   rows, entries in [0, 1]. Each row is widened to float64 and
                   checked on its own, and only its nonzero pixels are kept
                   (`support`). No row is referenced once it has been read, so
@@ -87,22 +87,18 @@ class SoftMaskSet:
     pixels are nonzero, and twice its size when all are.
     """
 
+    rows: InitVar[Iterable[np.ndarray]]
     class_probs: np.ndarray
     class_table: ClassTable
-    shape: tuple[int, int, int, int]
-    support: MaskSupport
-    area: np.ndarray
+    shape: tuple[int, int, int, int] = field(init=False)
+    support: MaskSupport = field(init=False)
+    area: np.ndarray = field(init=False)
 
-    def __init__(self, values, class_probs, class_table: ClassTable):
-        object.__setattr__(self, "class_probs", class_probs)
-        object.__setattr__(self, "class_table", class_table)
-        self.__post_init__(values)
-
-    def __post_init__(self, values):
-        if isinstance(values, np.ndarray) and values.ndim != 4:
+    def __post_init__(self, rows):
+        if isinstance(rows, np.ndarray) and rows.ndim != 4:
             raise ValueError("mask values must have shape (m, N, H, W)")
         shape, area, bits, nonzero = None, [], [], []
-        for row in values:
+        for row in rows:
             row = np.asarray(row, dtype=np.float64)
             shape = row.shape if shape is None else shape
             if row.ndim != 3 or row.shape != shape:
@@ -191,11 +187,13 @@ class PanopticMap:
 
     Instance IDs are consistent across views: the same nonzero ID denotes
     the same object everywhere. Instance 0 is void. Integer (or bool) ID
-    arrays are stored as int32 once their range is checked; the keys of
-    `instance_to_class` must lie in the same range, and its values in
-    [0, num_classes) or equal VOID_CLASS, which marks an ID as void. No
-    per-pixel class map is stored: a pixel's class is
+    arrays are stored, once their range is checked, as a read-only int32
+    copy; the keys of `instance_to_class` must lie in the same range, and its
+    values in [0, num_classes) or equal VOID_CLASS, which marks an ID as void.
+    No per-pixel class map is stored: a pixel's class is
     `instance_to_class[instance ID]`, a read-only view of the map's own copy.
+    `from_instances` is an alias of the constructor, kept for callers outside
+    the package.
     """
 
     instance_ids: np.ndarray
@@ -210,7 +208,8 @@ class PanopticMap:
             raise ValueError(f"instance IDs must be integers, not {inst.dtype}")
         if inst.size and (inst.min() < 0 or inst.max() >= INSTANCE_ID_LIMIT):
             raise ValueError(f"instance IDs must lie in [0, {INSTANCE_ID_LIMIT})")
-        inst = inst.astype(np.int32, copy=False)
+        inst = np.array(inst, dtype=np.int32)  # the map's own copy
+        inst.flags.writeable = False
         ids = np.unique(inst)
         to_class = self.instance_to_class
         outside = [i for i in to_class if not 0 <= i < INSTANCE_ID_LIMIT]

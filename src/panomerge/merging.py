@@ -107,7 +107,7 @@ def _assemble(
     won = np.bincount(winner[labeled], minlength=queries.size)
     classes = masks.class_probs[queries].argmax(axis=1)
     to_class = {k + 1: int(classes[k]) for k in np.flatnonzero(won).tolist()}
-    return PanopticMap.from_instances(instance_ids, to_class, masks.class_table)
+    return PanopticMap(instance_ids, to_class, masks.class_table)
 
 
 def merge_qubo(masks: SoftMaskSet, cfg: MergeConfig | None = None) -> PanopticMap:

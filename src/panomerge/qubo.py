@@ -36,7 +36,7 @@ class QuboInstance:
 
     def __post_init__(self):
         lin = np.array(np.ravel(self.linear), dtype=np.float64)
-        quad = np.asarray(self.quadratic, dtype=np.float64)
+        quad = np.array(self.quadratic, dtype=np.float64)
         m = lin.shape[0]
         if quad.shape != (m, m):
             raise ValueError("quadratic matrix must be m x m")
@@ -49,7 +49,6 @@ class QuboInstance:
         if not 1.0 < self.penalty < math.inf:
             raise ValueError("penalty must be finite and exceed 1")
         # the diagonal is unused; zero it so incremental updates need no masking
-        quad = quad.copy()
         np.fill_diagonal(quad, 0.0)
         lin.flags.writeable = False
         quad.flags.writeable = False

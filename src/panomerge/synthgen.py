@@ -239,9 +239,7 @@ def generate_scene(
         [world[r : r + spec.height, c : c + spec.width] for r, c in windows]
     )
     present = set(np.unique(gt_inst).tolist()) - {0}
-    gt = PanopticMap.from_instances(
-        gt_inst, {i: inst_class[i] for i in sorted(present)}, table
-    )
+    gt = PanopticMap(gt_inst, {i: inst_class[i] for i in sorted(present)}, table)
 
     cor = spec.corruption
     views, prob_rows = [], []

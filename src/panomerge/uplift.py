@@ -9,7 +9,7 @@ a view sums weight-scaled splat distributions per pixel and takes the argmax.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
@@ -34,12 +34,9 @@ class SplatWeightTable:
     weights: np.ndarray
 
     def __post_init__(self):
-        sid, view, pix, w = (
-            np.asarray(self.splat_ids, dtype=np.int64).ravel(),
-            np.asarray(self.views, dtype=np.int64).ravel(),
-            np.asarray(self.pixels, dtype=np.int64).ravel(),
-            np.asarray(self.weights, dtype=np.float64).ravel(),
-        )
+        cols = (self.splat_ids, self.views, self.pixels)
+        sid, view, pix = (np.asarray(c, dtype=np.int64).ravel() for c in cols)
+        w = np.asarray(self.weights, dtype=np.float64).ravel()
         n = sid.shape[0]
         if not (view.shape[0] == pix.shape[0] == w.shape[0] == n):
             raise ValueError("record columns must have equal length")
@@ -73,7 +70,7 @@ class SplatWeightTable:
         return self.splat_ids.shape[0]
 
 
-@dataclass(frozen=True, init=False)
+@dataclass(frozen=True)
 class SplatLabelField:
     """Per-splat label distributions (column = instance ID, 0 = void): each
     row sums to one, or is all-zero for a splat no labeled pixel observed.
@@ -85,10 +82,12 @@ class SplatLabelField:
     of labels and values; `distributions` rebuilds the dense array on access."""
 
     shape: tuple[int, int]
-    support: tuple[np.ndarray, np.ndarray, np.ndarray]
+    keys: InitVar[np.ndarray]
+    values: InitVar[np.ndarray]
+    support: tuple[np.ndarray, np.ndarray, np.ndarray] = field(init=False)
 
-    def __init__(self, shape, keys, values):
-        shape = tuple(map(operator.index, shape))
+    def __post_init__(self, keys, values):
+        shape = tuple(map(operator.index, self.shape))
         if len(shape) != 2 or min(shape) < 0:
             raise ValueError("distributions must have shape (G, L + 1)")
         rows, width = shape

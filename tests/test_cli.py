@@ -475,13 +475,13 @@ def test_uplift_and_render_never_read_dense_distributions(
     views = range(splats.num_views)
     want = [render_labels(uplift_labels(gt, splats), splats, v) for v in views]
     field, rendered = tmp_path / "field.pmt", tmp_path / "rendered.pmt"
-    assert run(["uplift", scene_dir / "gt.pmt", scene_dir / "splats.psw",
-                "--out", field]) == 0  # its writer reads them
 
     def unread(field):
         raise AssertionError("SplatLabelField.distributions was read")
 
     monkeypatch.setattr(SplatLabelField, "distributions", property(unread))
+    assert run(["uplift", scene_dir / "gt.pmt", scene_dir / "splats.psw",
+                "--out", field]) == 0
     uplifted = uplift_labels(gt, splats)
     for v in views:
         np.testing.assert_array_equal(render_labels(uplifted, splats, v), want[v])

@@ -360,3 +360,68 @@ def test_detects_default_reads():
 
 def test_cli_reads_no_library_default():
     assert default_reads((SRC / "cli.py").read_text()) == []
+
+
+def hand_written_inits(source: str) -> list[str]:
+    """Classes that define `__init__` themselves: a container's constructor
+    is the one its dataclass generates, and `__post_init__` converts and
+    checks what it stores."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, ast.FunctionDef) and item.name == "__init__":
+                    found.append(node.name)
+    return found
+
+
+def test_detects_hand_written_init():
+    source = (
+        "@dataclass(frozen=True, init=False)\n"
+        "class Built:\n"
+        "    shape: tuple\n"
+        "    def __init__(self, shape, keys):\n"
+        "        object.__setattr__(self, 'shape', shape)\n"
+        "@dataclass(frozen=True)\n"
+        "class Generated:\n"
+        "    keys: InitVar[list]\n"
+        "    def __post_init__(self, keys): pass\n"
+        "def __init__(self): pass\n"
+    )
+    assert hand_written_inits(source) == ["Built"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_hand_written_init(path):
+    assert hand_written_inits(path.read_text()) == []
+
+
+def alias_calls(source: str, alias: str) -> list[str]:
+    """Each call of `alias`, bare or as an attribute, such as
+    `PanopticMap.from_instances(...)`."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = ast.unparse(node.func)
+            if name.split(".")[-1] == alias:
+                found.append(name)
+    return found
+
+
+def test_detects_alias_call():
+    source = (
+        "from .masks import PanopticMap\n"
+        "a = PanopticMap.from_instances(ids, to_class, table)\n"
+        "b = masks.PanopticMap.from_instances(ids, to_class, table)\n"
+        "c = PanopticMap(ids, to_class, table)\n"
+        "def from_instances_like(): pass\n"
+        "build = PanopticMap.from_instances\n"
+    )
+    assert alias_calls(source, "from_instances") == [
+        "PanopticMap.from_instances", "masks.PanopticMap.from_instances"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_src_never_calls_from_instances(path):
+    assert alias_calls(path.read_text(), "from_instances") == []

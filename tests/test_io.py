@@ -260,6 +260,23 @@ class TestSplatFile:
         write_splats(tmp_path / "s2.psw", back)
         assert (tmp_path / "s2.psw").read_bytes() == first
 
+    def test_largest_stored_values_round_trip(self, tmp_path):
+        # each record field at its stored maximum, beside one at zero
+        g, n, h, w = 2**32 - 1, 2**16, 2**16, 2**16
+        top = np.finfo(np.float32).max
+        table = SplatWeightTable(
+            g, n, h, w, [g - 1, 0], [n - 1, 0], [h * w - 1, 0], [top, 0.0]
+        )
+        path = tmp_path / "s.psw"
+        write_splats(path, table)
+        back = read_splats(path)
+        assert (back.num_splats, back.num_views, back.height, back.width) == (g, n, h, w)
+        for column in ("splat_ids", "views", "pixels", "weights"):
+            np.testing.assert_array_equal(getattr(back, column), getattr(table, column))
+            assert getattr(back, column).dtype == getattr(table, column).dtype
+        write_splats(tmp_path / "s2.psw", back)
+        assert (tmp_path / "s2.psw").read_bytes() == path.read_bytes()
+
     def test_read_peaks_near_what_the_table_holds(self, tmp_path):
         # one record per (view, pixel) of 8 views of 96 x 96, as on an M scene
         rng = np.random.default_rng(0)

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -257,6 +259,35 @@ class TestRowsInput:
             SoftMaskSet(rows, np.full((2, 3), 0.5), simple_table)
 
 
+class TestConstruction:
+    def test_fields_are_the_stored_ones(self):
+        names = [f.name for f in dataclasses.fields(SoftMaskSet)]
+        assert names == ["class_probs", "class_table", "shape", "support", "area"]
+
+    def test_positional_and_keyword_construction_agree(self, simple_table):
+        values = np.random.default_rng(0).random((2, 1, 3, 3))
+        probs = np.full((2, 3), 0.5)
+        by_position = SoftMaskSet(values, probs, simple_table)
+        by_name = SoftMaskSet(rows=values, class_probs=probs, class_table=simple_table)
+        assert by_position.shape == by_name.shape == values.shape
+        for a, b in zip(by_position.support, by_name.support):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(by_position.area, by_name.area)
+
+    def test_rows_are_iterated_once(self, simple_table):
+        values = np.random.default_rng(1).random((3, 2, 2, 2))
+        reads = []
+
+        def rows():
+            for row in values:
+                reads.append(len(reads))
+                yield row
+
+        masks = SoftMaskSet(rows(), np.full((3, 3), 0.5), simple_table)
+        assert reads == [0, 1, 2]
+        np.testing.assert_array_equal(masks.values, values)
+
+
 class TestDenseOracles:
     def test_oracles_densify_only_the_rows_they_read(
         self, monkeypatch, no_dense_values
@@ -327,3 +358,13 @@ class TestPanopticMap:
         pmap = PanopticMap(inst, {3: 0, 70: 1, 65535: 2}, table)
         assert pmap.instance_ids.dtype == np.int32
         np.testing.assert_array_equal(pmap.instance_ids, inst)
+
+    @pytest.mark.parametrize("dtype", [np.int32, np.int64])
+    def test_map_owns_a_read_only_copy_of_the_ids(self, dtype):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        inst = np.array([[[0, 3], [70, 3]]], dtype=dtype)
+        pmap = PanopticMap(inst, {3: 0, 70: 1}, table)
+        inst[0, 0, 0] = 1_000_000
+        assert pmap.instance_ids.tolist() == [[[0, 3], [70, 3]]]
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            pmap.instance_ids[0, 0, 0] = 1_000_000

@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -537,6 +538,19 @@ class TestSplatWeightTable:
 
 
 class TestSplatLabelField:
+    def test_fields_are_the_stored_ones(self):
+        names = [f.name for f in dataclasses.fields(SplatLabelField)]
+        assert names == ["shape", "support"]
+
+    def test_positional_and_keyword_construction_agree(self):
+        keys, values = np.array([1, 2, 5]), np.array([0.25, 0.75, 1.0])
+        by_position = SplatLabelField((2, 3), keys, values)
+        by_name = SplatLabelField(shape=(2, 3), keys=keys, values=values)
+        assert by_position.shape == by_name.shape == (2, 3)
+        for a, b in zip(by_position.support, by_name.support):
+            np.testing.assert_array_equal(a, b)
+        assert by_name.distributions.tolist() == [[0.0, 0.25, 0.75], [0.0, 0.0, 1.0]]
+
     def test_observed_is_derived_from_row_mass(self):
         field = dense_field([[0.0, 0.25, 0.75], [0.0, 0.0, 0.0]])
         assert field.observed.tolist() == [True, False]
