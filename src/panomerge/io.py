@@ -170,8 +170,6 @@ def write_panoptic(path, pmap: PanopticMap) -> None:
     if _sidecar(path) == Path(path):
         raise ValueError(f"{path}: a *.json target would be overwritten by its sidecar")
     inst = pmap.instance_ids
-    if inst.max(initial=0) > np.iinfo(np.uint16).max:
-        raise ValueError("instance IDs exceed u16 range")
     sidecar = {
         "instance_to_class": {str(k): int(v) for k, v in pmap.instance_to_class.items()},
         "class_table": _table_json(pmap.class_table),

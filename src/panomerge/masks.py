@@ -4,13 +4,14 @@ Mask proposals are per-pixel probabilities in [0, 1] over N views of H x W
 pixels. `SoftMaskSet` takes them as dense rows and stores only each row's
 nonzero pixels (`support`, a CSR index as in `scipy.sparse`) and its sum
 (`area`); its `values` rebuild the dense (m, N, H, W) array on each access.
-Label maps are dense (N, H, W) int32 arrays with instance ID 0 reserved for
+Label maps are dense (N, H, W) uint16 arrays with instance ID 0 reserved for
 void.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Iterable, Mapping
 from dataclasses import InitVar, dataclass, field
 from types import MappingProxyType
@@ -21,11 +22,9 @@ import numpy as np
 VOID_INSTANCE = 0
 # The class that marks an instance ID as void, in every map and table
 VOID_CLASS = 65535
-# Instance IDs, in the map and as instance_to_class keys, lie in
-# [0, INSTANCE_ID_LIMIT): 0 is void, no ID is negative, and the int32 array
-# that PanopticMap stores holds every ID exactly. Scene PQ's pair keys rely
-# only on IDs being nonnegative int32, not on this limit.
-INSTANCE_ID_LIMIT = 1 << 24
+# Instance IDs, in the map, as instance_to_class keys and as label-field
+# columns, lie in [0, INSTANCE_ID_LIMIT): the u16 range of the PanopticFile.
+INSTANCE_ID_LIMIT = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -187,9 +186,9 @@ class PanopticMap:
 
     Instance IDs are consistent across views: the same nonzero ID denotes
     the same object everywhere. Instance 0 is void. Integer (or bool) ID
-    arrays are stored, once their range is checked, as a read-only int32
-    copy; the keys of `instance_to_class` must lie in the same range, and its
-    values in [0, num_classes) or equal VOID_CLASS, which marks an ID as void.
+    arrays, every ID in [0, INSTANCE_ID_LIMIT), are stored as a read-only
+    uint16 copy; the keys of `instance_to_class` are integers in that range,
+    and its values lie in [0, num_classes) or equal VOID_CLASS (void).
     No per-pixel class map is stored: a pixel's class is
     `instance_to_class[instance ID]`, a read-only view of the map's own copy.
     `from_instances` is an alias of the constructor, kept for callers outside
@@ -208,15 +207,16 @@ class PanopticMap:
             raise ValueError(f"instance IDs must be integers, not {inst.dtype}")
         if inst.size and (inst.min() < 0 or inst.max() >= INSTANCE_ID_LIMIT):
             raise ValueError(f"instance IDs must lie in [0, {INSTANCE_ID_LIMIT})")
-        inst = np.array(inst, dtype=np.int32)  # the map's own copy
+        inst = np.array(inst, dtype=np.uint16)  # the map's own copy
         inst.flags.writeable = False
-        ids = np.unique(inst)
         to_class = self.instance_to_class
         outside = [i for i in to_class if not 0 <= i < INSTANCE_ID_LIMIT]
         if outside:
             raise ValueError(f"mapped ID(s) {outside} not in [0, {INSTANCE_ID_LIMIT})")
-        missing = [i for i in ids.tolist() if i != VOID_INSTANCE and i not in to_class]
-        if missing:
+        known = np.zeros(INSTANCE_ID_LIMIT, dtype=bool)
+        known[[VOID_INSTANCE, *map(operator.index, to_class)]] = True
+        if not known[inst].all():
+            missing = np.unique(inst[~known[inst]]).tolist()
             raise ValueError(f"instance ID(s) {missing} have no class assignment")
         n = self.class_table.num_classes
         bad = sorted({c for c in to_class.values() if not 0 <= c < n} - {VOID_CLASS})

@@ -158,14 +158,13 @@ def scene_pq(
             "shape mismatch: pred "
             f"{pred.instance_ids.shape} vs gt {gt.instance_ids.shape}"
         )
-    # IDs are nonnegative, so pred * radix + gt never aliases two pairs
-    radix = int(gt.instance_ids.max(initial=0)) + 1
+    # IDs are u16, so the key pred << 16 | gt never aliases two pairs
     keys, id_counts = np.unique(
-        pred.instance_ids.astype(np.int64).ravel() * radix + gt.instance_ids.ravel(),
+        pred.instance_ids.astype(np.uint32).ravel() << 16 | gt.instance_ids.ravel(),
         return_counts=True,
     )
-    pred_seg, pred_cls = _segments(keys // radix, pred, classes)
-    gt_seg, gt_cls = _segments(keys % radix, gt, classes)
+    pred_seg, pred_cls = _segments(keys >> 16, pred, classes)
+    gt_seg, gt_cls = _segments(keys & 0xFFFF, gt, classes)
     n_pred, n_gt = pred_cls.size, gt_cls.size
 
     # fold the ID pairs into (pred, gt) segment pairs; index n_pred / n_gt is void

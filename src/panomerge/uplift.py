@@ -13,7 +13,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .masks import PanopticMap
+from .masks import INSTANCE_ID_LIMIT, PanopticMap
 
 
 @dataclass(frozen=True)
@@ -36,7 +36,8 @@ class SplatWeightTable:
     def __post_init__(self):
         cols = (self.splat_ids, self.views, self.pixels)
         sid, view, pix = (np.asarray(c, dtype=np.int64).ravel() for c in cols)
-        w = np.asarray(self.weights, dtype=np.float64).ravel()
+        with np.errstate(invalid="ignore"):  # a signalling NaN is refused below
+            w = np.asarray(self.weights, dtype=np.float64).ravel()
         n = sid.shape[0]
         if not (view.shape[0] == pix.shape[0] == w.shape[0] == n):
             raise ValueError("record columns must have equal length")
@@ -88,8 +89,9 @@ class SplatLabelField:
 
     def __post_init__(self, keys, values):
         shape = tuple(map(operator.index, self.shape))
-        if len(shape) != 2 or min(shape) < 0:
-            raise ValueError("distributions must have shape (G, L + 1)")
+        # a column is an instance ID, so L < INSTANCE_ID_LIMIT
+        if len(shape) != 2 or min(shape) < 0 or shape[1] > INSTANCE_ID_LIMIT:
+            raise ValueError(f"shape must be (G, L + 1) with L < {INSTANCE_ID_LIMIT}")
         rows, width = shape
         keys = np.asarray(keys, dtype=np.int64)
         values = np.array(values, dtype=np.float64)
@@ -191,4 +193,4 @@ def render_labels(
     ).reshape(pixels, width)
     # acc is nonnegative and NaN-free: a massless row's argmax is already void
     out = np.argmax(acc, axis=1)
-    return out.reshape(weights.height, weights.width).astype(np.int32)
+    return out.reshape(weights.height, weights.width).astype(np.uint16)

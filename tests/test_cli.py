@@ -16,6 +16,7 @@ from panomerge.io import (
     read_splats,
     read_tensor,
     write_panoptic,
+    write_splats,
     write_tensor,
 )
 from panomerge.keyframe import FrameDescriptors, fps_select
@@ -23,7 +24,12 @@ from panomerge.masks import ClassTable, PanopticMap
 from panomerge.merging import BaselineConfig, MergeConfig, merge_baseline, merge_qubo
 from panomerge.qubo import AnnealConfig, build_qubo
 from panomerge.synthgen import CorruptionSpec, SceneSpec, generate_scene
-from panomerge.uplift import SplatLabelField, render_labels, uplift_labels
+from panomerge.uplift import (
+    SplatLabelField,
+    SplatWeightTable,
+    render_labels,
+    uplift_labels,
+)
 
 
 def run(args):
@@ -550,6 +556,27 @@ class TestUpliftRender:
         assert code == 2
         assert "not in [0, " in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == [scene_dir]
+
+    def test_field_wider_than_u16_ids_is_exit_2_and_writes_nothing(
+        self, tmp_path, capsys
+    ):
+        # column 65536 would be an instance ID no PanopticFile can hold
+        field = tmp_path / "field.pmt"
+        dist = np.zeros((1, (1 << 16) + 1), dtype=np.float32)
+        dist[0, -1] = 1.0
+        write_tensor(field, dist)
+        splats = tmp_path / "s.psw"
+        write_splats(splats, SplatWeightTable(1, 1, 1, 1, [0], [0], [0], [1.0]))
+        labels = tmp_path / "labels.pmt"
+        table = ClassTable(("chair",), (True,))
+        write_panoptic(labels, PanopticMap(np.ones((1, 1, 1), np.uint8), {1: 0}, table))
+        inputs = set(tmp_path.iterdir())
+        code = run(
+            ["render-labels", field, splats, labels, "--out", tmp_path / "r.pmt"]
+        )
+        assert code == 2
+        assert "L < 65536" in capsys.readouterr().err
+        assert set(tmp_path.iterdir()) == inputs
 
     @pytest.mark.parametrize("cid", [-1, "num_classes"])
     def test_class_outside_table_is_exit_2_and_writes_nothing(

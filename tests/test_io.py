@@ -3,6 +3,7 @@ import os
 import struct
 import tempfile
 import tracemalloc
+import warnings
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -306,6 +307,17 @@ class TestSplatFile:
         path.write_bytes(b"NOPE" + b"\x00" * 16)
         with pytest.raises(FormatError):
             read_splats(path)
+
+    def test_signalling_nan_weight_refused_without_a_warning(self, tmp_path):
+        path = tmp_path / "s.psw"
+        # one record whose f32 weight bits 0x7f800001 are a signalling NaN
+        record = struct.pack("<IHII", 0, 0, 0, 0x7F800001)
+        path.write_bytes(b"PSW1" + struct.pack("<4I", 1, 1, 1, 1) + record)
+        assert path.stat().st_size == 34
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(FormatError, match="finite"):
+                read_splats(path)
 
     def test_misaligned_records(self, tmp_path):
         _, _, splats = generate_scene(SceneSpec(seed=3))

@@ -15,7 +15,7 @@ from panomerge import (
     pairwise_overlap,
     weighted_area,
 )
-from panomerge.masks import VOID_CLASS
+from panomerge.masks import INSTANCE_ID_LIMIT, VOID_CLASS
 
 from conftest import make_mask_set, random_mask_set, rounding_values
 
@@ -352,11 +352,11 @@ class TestPanopticMap:
             PanopticMap(np.array([[[0.0, 1.5]]]), {1.5: 0}, table)
 
     @pytest.mark.parametrize("dtype", [np.uint16, np.uint64, np.int64])
-    def test_integer_ids_stored_as_int32(self, dtype):
+    def test_integer_ids_stored_as_uint16(self, dtype):
         table = ClassTable(("chair", "bag", "wall"), (True, True, False))
         inst = np.array([[[0, 3], [70, 65535]]], dtype=dtype)
         pmap = PanopticMap(inst, {3: 0, 70: 1, 65535: 2}, table)
-        assert pmap.instance_ids.dtype == np.int32
+        assert pmap.instance_ids.dtype == np.uint16
         np.testing.assert_array_equal(pmap.instance_ids, inst)
 
     @pytest.mark.parametrize("dtype", [np.int32, np.int64])
@@ -368,3 +368,71 @@ class TestPanopticMap:
         assert pmap.instance_ids.tolist() == [[[0, 3], [70, 3]]]
         with pytest.raises(ValueError, match="assignment destination is read-only"):
             pmap.instance_ids[0, 0, 0] = 1_000_000
+
+
+# IDs on either side of the u16 limit and of the wider 2^24 and 2^32 widths
+EDGE_IDS = [0, 1, 255, 256, 65534, 65535, 65536, 65537, (1 << 24) - 1, 1 << 24,
+            (1 << 32) - 1, 1 << 32, (1 << 32) + 1, -1, -65536]
+INT_DTYPES = [np.uint8, np.uint16, np.uint32, np.uint64,
+              np.int8, np.int16, np.int32, np.int64]
+
+
+def representable(dtype):
+    if dtype == np.bool_:
+        return [0, 1]
+    info = np.iinfo(dtype)
+    return [v for v in EDGE_IDS if info.min <= v <= info.max]
+
+
+@st.composite
+def edge_id_arrays(draw):
+    """A (1, 1, n) ID map of a bool or integer dtype, its IDs edge values."""
+    dtype = draw(st.sampled_from([np.bool_, *INT_DTYPES]))
+    ids = draw(st.lists(st.sampled_from(representable(dtype)), min_size=1, max_size=6))
+    return np.array(ids, dtype=dtype).reshape(1, 1, -1)
+
+
+# a Python int, bool or numpy integer scalar of each integer dtype
+edge_keys = st.one_of(
+    st.sampled_from(EDGE_IDS),
+    st.booleans(),
+    st.sampled_from(INT_DTYPES).flatmap(
+        lambda d: st.sampled_from(representable(d)).map(d)
+    ),
+)
+
+
+class TestNoIdWraps:
+    """Every ID a map is given is either held exactly as uint16 or refused
+    with ValueError: nothing is narrowed before it is checked."""
+
+    table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_id_arrays())
+    def test_map_ids_are_held_exactly_or_refused(self, inst):
+        ids = [int(v) for v in inst.ravel().tolist()]
+        to_class = {i: 0 for i in ids if 0 < i < INSTANCE_ID_LIMIT}
+        if all(0 <= i < INSTANCE_ID_LIMIT for i in ids):
+            pmap = PanopticMap(inst, to_class, self.table)
+            assert pmap.instance_ids.dtype == np.uint16
+            assert pmap.instance_ids.ravel().tolist() == ids
+        else:
+            with pytest.raises(ValueError, match="must lie in"):
+                PanopticMap(inst, to_class, self.table)
+
+    @settings(max_examples=300, deadline=None)
+    @given(edge_keys)
+    def test_mapping_keys_are_held_exactly_or_refused(self, key):
+        inst = np.full((1, 1, 1), key if 0 <= key < INSTANCE_ID_LIMIT else 0)
+        if 0 <= key < INSTANCE_ID_LIMIT:
+            pmap = PanopticMap(inst, {key: 0}, self.table)
+            assert pmap.instance_to_class == {int(key): 0}
+            assert pmap.instance_ids.tolist() == [[[int(key)]]]
+        else:
+            with pytest.raises(ValueError, match="not in"):
+                PanopticMap(inst, {key: 0}, self.table)
+
+    def test_non_integer_key_is_refused(self):
+        with pytest.raises(TypeError):
+            PanopticMap(np.ones((1, 1, 1), np.uint8), {1: 0, 2.5: 0}, self.table)

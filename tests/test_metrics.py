@@ -156,13 +156,19 @@ class TestScenePq:
             scene_pq(a, b, table)
 
     def test_widest_instance_ids_are_not_aliased(self, table):
-        top = (1 << 24) - 1
+        top = INSTANCE_ID_LIMIT - 1
         gt = pmap([[[1, top]]], {1: 1, top: 0}, table)
         report = scene_pq(gt, gt, table)
         assert {c: st.tp for c, st in report.per_class.items()} == {0: 1, 1: 1}
-        # as class << 24 | instance, instance 2^24 + 1 of class 0 is class 1
+        # swapped IDs share no pixel: the keys 1 << 16 | top and top << 16 | 1
+        swapped = pmap([[[top, 1]]], {1: 1, top: 0}, table)
+        report = scene_pq(swapped, gt, table)
+        assert {c: (s.tp, s.fp, s.fn) for c, s in report.per_class.items()} == {
+            0: (0, 1, 1), 1: (0, 1, 1),
+        }
+        # as pred << 16 | gt, a gt ID of 2^16 would carry into the pred ID
         with pytest.raises(ValueError):
-            pmap([[[1, top + 2]]], {1: 1, top + 2: 0}, table)
+            pmap([[[1, top + 1]]], {1: 1, top + 1: 0}, table)
 
     def test_stuff_id_pairs_fold_into_one_segment_pair(self, table):
         # two wall IDs on each side: four ID pairs, one stuff segment pair

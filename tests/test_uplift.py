@@ -18,6 +18,7 @@ from panomerge import (
     scene_pq,
     uplift_labels,
 )
+from panomerge.masks import INSTANCE_ID_LIMIT
 
 
 # Dense oracles: uplift and render as they were before they accumulated with
@@ -191,7 +192,8 @@ class TestUpliftLabels:
         )
 
     def test_memory_does_not_follow_the_largest_id(self):
-        labels = simple_labels(np.array([[[1, 1 << 20]]]))
+        top = INSTANCE_ID_LIMIT - 1
+        labels = simple_labels(np.array([[[1, top]]]))
         weights = make_table([[s, 0, p, 1.0] for s in range(4) for p in (0, 1)],
                              4, 1, 1, 2)
         tracemalloc.start()
@@ -200,10 +202,20 @@ class TestUpliftLabels:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # the dense (4, 2^20 + 1) float64 field would be 32 MiB
-        assert peak <= 1 << 20
-        assert field.shape == (4, (1 << 20) + 1)
-        assert field.support[1].tolist() == [1, 1 << 20] * 4
+        # the dense (4, 2^16) float64 field would be 2 MiB
+        assert peak <= 1 << 19
+        assert field.shape == (4, top + 1)
+        assert field.support[1].tolist() == [1, top] * 4
+
+    def test_field_has_at_most_one_column_per_u16_id(self):
+        top = INSTANCE_ID_LIMIT - 1
+        field = SplatLabelField((1, top + 1), [top], [1.0])
+        weights = make_table([[0, 0, 0, 1.0]], 1, 1, 1, 1)
+        rendered = render_labels(field, weights, 0)
+        assert rendered.dtype == np.uint16
+        assert rendered.tolist() == [[top]]
+        with pytest.raises(ValueError, match=f"L < {INSTANCE_ID_LIMIT}"):
+            SplatLabelField((1, top + 2), [top + 1], [1.0])
 
     def test_observed_rows_sum_to_one(self):
         rng = np.random.default_rng(0)
