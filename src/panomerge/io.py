@@ -4,7 +4,7 @@ TensorFile:   magic "PMT1", dtype code (u8: 1=f32, 2=u16, 3=u8), ndim (u8),
               dims (u32 LE each), then the row-major little-endian payload.
 PanopticFile: instance map as a u16 TensorFile (N, H, W) plus a JSON sidecar
               (same path with a .json suffix) holding instance_to_class and
-              the class table.
+              the class table; keys canonical decimal IDs, classes JSON ints.
 SplatFile:    magic "PSW1", counts G, N, H, W (u32 LE), then a stream of
               (splat_id u32, view u16, pixel u32, weight f32) records.
 
@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import json
 import math
+import operator
 import os
 import struct
 from pathlib import Path
@@ -171,7 +172,7 @@ def write_panoptic(path, pmap: PanopticMap) -> None:
         raise ValueError(f"{path}: a *.json target would be overwritten by its sidecar")
     inst = pmap.instance_ids
     sidecar = {
-        "instance_to_class": {str(k): int(v) for k, v in pmap.instance_to_class.items()},
+        "instance_to_class": {str(k): c for k, c in pmap.instance_to_class.items()},
         "class_table": _table_json(pmap.class_table),
         "void_id": 0,
     }
@@ -188,7 +189,10 @@ def read_panoptic(path) -> PanopticMap:
     try:
         meta = json.loads(_sidecar(path).read_text())
         table = _table_from_json(meta["class_table"])
-        mapping = {int(k): int(v) for k, v in meta["instance_to_class"].items()}
+        raw = meta["instance_to_class"]
+        mapping = {int(k): operator.index(c) for k, c in raw.items()}
+        if list(map(str, mapping)) != list(raw):  # "01", " 2", "1" beside "01"
+            raise ValueError("instance IDs must be distinct canonical decimal keys")
     except JSON_FIELD_ERRORS as exc:
         raise FormatError(f"{_sidecar(path)}: bad sidecar: {exc}") from exc
     return PanopticMap(inst, mapping, table)

@@ -9,7 +9,7 @@ import numpy as np
 DEFAULT_NUM_KEYFRAMES = 50
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FrameDescriptors:
     """An N x dim matrix of per-frame descriptors; entries must be finite."""
 

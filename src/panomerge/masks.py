@@ -64,7 +64,7 @@ class MaskSupport(NamedTuple):
     bits: np.ndarray
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SoftMaskSet:
     """A set of m soft mask proposals over N views of H x W pixels.
 
@@ -180,24 +180,24 @@ class SoftMaskSet:
         return self.shape[3]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PanopticMap:
     """Per-view instance ID maps with a shared instance->class table.
 
     Instance IDs are consistent across views: the same nonzero ID denotes
     the same object everywhere. Instance 0 is void. Integer (or bool) ID
     arrays, every ID in [0, INSTANCE_ID_LIMIT), are stored as a read-only
-    uint16 copy; the keys of `instance_to_class` are integers in that range,
-    and its values lie in [0, num_classes) or equal VOID_CLASS (void).
-    No per-pixel class map is stored: a pixel's class is
-    `instance_to_class[instance ID]`, a read-only view of the map's own copy.
+    uint16 copy, and `instance_to_class` as a read-only mapping of plain ints
+    (each through `operator.index`, so True is 1 and a class of 1.5 raises
+    TypeError): keys in that range, classes in [0, num_classes) or
+    VOID_CLASS (void). A pixel's class is `instance_to_class[instance ID]`.
     `from_instances` is an alias of the constructor, kept for callers outside
     the package.
     """
 
     instance_ids: np.ndarray
     instance_to_class: Mapping[int, int]
-    class_table: ClassTable = field(compare=False)
+    class_table: ClassTable
 
     def __post_init__(self):
         inst = np.asarray(self.instance_ids)
@@ -209,12 +209,13 @@ class PanopticMap:
             raise ValueError(f"instance IDs must lie in [0, {INSTANCE_ID_LIMIT})")
         inst = np.array(inst, dtype=np.uint16)  # the map's own copy
         inst.flags.writeable = False
-        to_class = self.instance_to_class
+        index = operator.index
+        to_class = {index(i): index(c) for i, c in self.instance_to_class.items()}
         outside = [i for i in to_class if not 0 <= i < INSTANCE_ID_LIMIT]
         if outside:
             raise ValueError(f"mapped ID(s) {outside} not in [0, {INSTANCE_ID_LIMIT})")
         known = np.zeros(INSTANCE_ID_LIMIT, dtype=bool)
-        known[[VOID_INSTANCE, *map(operator.index, to_class)]] = True
+        known[[VOID_INSTANCE, *to_class]] = True
         if not known[inst].all():
             missing = np.unique(inst[~known[inst]]).tolist()
             raise ValueError(f"instance ID(s) {missing} have no class assignment")
@@ -225,7 +226,7 @@ class PanopticMap:
                 f"class ID(s) {bad} not in [0, {n}) or the void class {VOID_CLASS}"
             )
         object.__setattr__(self, "instance_ids", inst)
-        object.__setattr__(self, "instance_to_class", MappingProxyType(dict(to_class)))
+        object.__setattr__(self, "instance_to_class", MappingProxyType(to_class))
 
     @classmethod
     def from_instances(

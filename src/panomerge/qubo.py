@@ -25,7 +25,7 @@ DEFAULT_PENALTY = 2.0
 SWEEP_BLOCK = 64
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class QuboInstance:
     """Linear weights, symmetric pairwise overlaps, and the overlap penalty.
     Both arrays are stored as read-only float64 copies."""
@@ -60,7 +60,7 @@ class QuboInstance:
         return self.linear.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Assignment:
     """A boolean selection of proposals together with its objective value."""
 
@@ -148,7 +148,7 @@ def solve_exact(q: QuboInstance) -> Assignment:
     if m > EXACT_MAX_VARS:
         raise ValueError(f"solve_exact supports m <= {EXACT_MAX_VARS}, got {m}")
     total = 1 << m
-    chunk = 1 << 16
+    chunk = 1 << 12  # bounds memory; the first maximum wins at any chunk size
     powers = np.arange(m, dtype=np.uint32)
     best_val = -math.inf
     best_k = 0

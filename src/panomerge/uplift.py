@@ -16,7 +16,7 @@ import numpy as np
 from .masks import INSTANCE_ID_LIMIT, PanopticMap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplatWeightTable:
     """Sparse (splat, view, pixel, weight) records of alpha-blend contributions.
 
@@ -71,7 +71,7 @@ class SplatWeightTable:
         return self.splat_ids.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplatLabelField:
     """Per-splat label distributions (column = instance ID, 0 = void): each
     row sums to one, or is all-zero for a splat no labeled pixel observed.

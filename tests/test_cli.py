@@ -437,6 +437,26 @@ class TestEvalPq:
         assert run(["eval-pq", scene_dir / "gt.pmt", scene_dir / "gt.pmt"]) == 3
         assert "bad sidecar" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda to_class, k: to_class.update({k: to_class[k] + 0.7}),
+            lambda to_class, k: to_class.update({k: str(to_class[k])}),
+            lambda to_class, k: to_class.update({"0" + k: to_class[k]}),
+        ],
+        ids=["float-class", "string-class", "zero-padded-key"],
+    )
+    def test_sidecar_not_as_written_is_exit_3(self, scene_dir, tmp_path, edit, capsys):
+        sidecar = scene_dir / "gt.json"
+        meta = json.loads(sidecar.read_text())
+        edit(meta["instance_to_class"], next(iter(meta["instance_to_class"])))
+        sidecar.write_text(json.dumps(meta))
+        out = tmp_path / "pq.json"
+        gt = scene_dir / "gt.pmt"
+        assert run(["eval-pq", gt, gt, "--out", out]) == 3
+        assert "bad sidecar" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dataset_mode_means_scene_pqs(self, tmp_path, capsys):
         pred_dir = tmp_path / "pred"
         gt_dir = tmp_path / "gt"

@@ -425,3 +425,74 @@ def test_detects_alias_call():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_src_never_calls_from_instances(path):
     assert alias_calls(path.read_text(), "from_instances") == []
+
+
+ARRAY_TYPES = {"ndarray", "MaskSupport"}
+
+
+def array_dataclasses_with_eq(source: str) -> list[str]:
+    """Dataclasses that annotate an attribute with an array type (`np.ndarray`
+    or `MaskSupport`, also inside `tuple[...]` or `InitVar[...]`) but are not
+    declared `eq=False`. A generated `__eq__` compares arrays elementwise and
+    raises on any of two or more elements, and the generated `__hash__` always
+    raises, so such a container compares and hashes by identity instead."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        calls = [d for d in node.decorator_list
+                 if ast.unparse(getattr(d, "func", d)).split(".")[-1] == "dataclass"]
+        if not calls:
+            continue
+        keywords = [k for d in calls for k in getattr(d, "keywords", [])]
+        if any(k.arg == "eq" and ast.unparse(k.value) == "False" for k in keywords):
+            continue
+        annotations = [ast.unparse(s.annotation)
+                       for s in node.body if isinstance(s, ast.AnnAssign)]
+        if ARRAY_TYPES & set(words(" ".join(annotations))):
+            found.append(node.name)
+    return found
+
+
+def test_detects_array_dataclass_with_eq():
+    source = (
+        "@dataclass(frozen=True)\n"
+        "class Dense:\n"
+        "    values: np.ndarray\n"
+        "@dataclass\n"
+        "class Sparse:\n"
+        "    support: MaskSupport\n"
+        "@dataclasses.dataclass(frozen=True, eq=True)\n"
+        "class Nested:\n"
+        "    support: tuple[np.ndarray, np.ndarray] = field(init=False)\n"
+        "@dataclass(frozen=True, eq=False)\n"
+        "class Held:\n"
+        "    values: np.ndarray\n"
+        "    keys: InitVar[np.ndarray]\n"
+        "@dataclass(frozen=True)\n"
+        "class Table:\n"
+        "    names: tuple[str, ...]\n"
+        "class Plain:\n"
+        "    values: np.ndarray\n"
+    )
+    assert array_dataclasses_with_eq(source) == ["Dense", "Sparse", "Nested"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_array_dataclasses_compare_by_identity(path):
+    assert array_dataclasses_with_eq(path.read_text()) == []
+
+
+TIER1 = (
+    "PYTHONPATH=src${PYTHONPATH:+:$PYTHONPATH} "
+    "python -m pytest -q --continue-on-collection-errors"
+)
+
+
+def test_ci_runs_the_tier1_command():
+    yaml = pytest.importorskip("yaml")
+    root = SRC.parents[1]
+    workflow = yaml.safe_load((root / ".github/workflows/tier1.yml").read_text())
+    steps = [s for job in workflow["jobs"].values() for s in job["steps"]]
+    assert [s["run"] for s in steps if "run" in s][-1] == TIER1
+    assert f"`{TIER1}`" in (root / "ROADMAP.md").read_text()

@@ -228,6 +228,39 @@ class TestPanopticFile:
             write_panoptic(tmp_path / "p.json", pmap)
         assert list(tmp_path.iterdir()) == []
 
+    def test_class_mapping_written_as_plain_ints(self, tmp_path):
+        table = ClassTable(("a", "b"), (True, False))
+        ids = np.array([[[1, 2, 0]]])
+        for name, to_class in [
+            ("bool", {True: 0, 2: 1}),
+            ("numpy", {np.int64(1): np.uint16(0), np.uint8(2): np.int32(1)}),
+        ]:
+            write_panoptic(tmp_path / f"{name}.pmt", PanopticMap(ids, to_class, table))
+            back = read_panoptic(tmp_path / f"{name}.pmt").instance_to_class
+            assert back == {1: 0, 2: 1} and list(back) == [1, 2]
+        write_panoptic(tmp_path / "int.pmt", PanopticMap(ids, {1: 0, 2: 1}, table))
+        sidecar = (tmp_path / "int.json").read_text()
+        assert json.loads(sidecar)["instance_to_class"] == {"1": 0, "2": 1}
+        assert (tmp_path / "bool.json").read_text() == sidecar
+        assert (tmp_path / "numpy.json").read_text() == sidecar
+
+    @pytest.mark.parametrize(
+        "to_class",
+        [{"1": 1.7}, {"1": "2"}, {"1": 0, "01": 0}, {"01": 0}, {" 1": 0},
+         {"+1": 0}, {"0_1": 0}],
+        ids=["float-class", "string-class", "collapsing-keys", "zero-padded-key",
+             "spaced-key", "signed-key", "underscored-key"],
+    )
+    def test_sidecar_read_only_as_written(self, tmp_path, to_class):
+        table = ClassTable(("a", "b", "c"), (True, True, False))
+        pmap = PanopticMap(np.ones((1, 1, 1), np.uint8), {1: 0}, table)
+        write_panoptic(tmp_path / "p.pmt", pmap)
+        meta = json.loads((tmp_path / "p.json").read_text())
+        meta["instance_to_class"] = to_class
+        (tmp_path / "p.json").write_text(json.dumps(meta))
+        with pytest.raises(FormatError, match="bad sidecar"):
+            read_panoptic(tmp_path / "p.pmt")
+
     def test_missing_sidecar_is_io_error(self, tmp_path):
         gt, _, _ = generate_scene(SceneSpec(seed=2))
         base = tmp_path / "gt.pmt"

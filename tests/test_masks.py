@@ -335,6 +335,20 @@ class TestPanopticMap:
         pmap = PanopticMap(np.array([[[1, 2]]]), {1: 2, 2: VOID_CLASS}, table)
         assert pmap.instance_to_class == {1: 2, 2: VOID_CLASS}
 
+    def test_mapping_stored_as_plain_ints(self):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        to_class = {True: 0, np.uint16(2): np.int64(1), 3: np.uint16(VOID_CLASS)}
+        pmap = PanopticMap(np.array([[[0, 1, 2, 3]]]), to_class, table)
+        assert pmap.instance_to_class == {1: 0, 2: 1, 3: VOID_CLASS}
+        for k, c in pmap.instance_to_class.items():
+            assert type(k) is int and type(c) is int
+
+    @pytest.mark.parametrize("cid", [1.5, np.float64(1.0)])
+    def test_non_integer_class_rejected(self, cid):
+        table = ClassTable(("chair", "bag", "wall"), (True, True, False))
+        with pytest.raises(TypeError):
+            PanopticMap(np.array([[[0, 1]]]), {1: cid}, table)
+
     def test_instance_without_class_rejected(self):
         table = ClassTable(("chair", "bag", "wall"), (True, True, False))
         with pytest.raises(ValueError):

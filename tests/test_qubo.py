@@ -362,6 +362,28 @@ class TestSolveExact:
         with pytest.raises(ValueError):
             solve_exact(random_instance(rng, 25))
 
+    def test_ties_across_chunks_keep_the_smallest_code(self):
+        # bits 0 and 12 are identical masks, the rest weigh nothing: codes 1
+        # and 4096, in different chunks of 4,096 rows, tie at the optimum
+        m, area = 13, 3.0
+        lin = np.zeros(m)
+        lin[[0, 12]] = area
+        quad = np.zeros((m, m))
+        quad[0, 12] = quad[12, 0] = area
+        result = solve_exact(QuboInstance(lin, quad))
+        assert result.selected().tolist() == [0]
+        assert result.objective == area
+
+    def test_memory_bounded_by_one_chunk(self):
+        q = random_instance(np.random.default_rng(4), 18)
+        tracemalloc.start()
+        try:
+            solve_exact(q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
+
 
 class TestSolveAnneal:
     def test_single_positive_variable(self):
