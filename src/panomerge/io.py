@@ -3,8 +3,9 @@
 TensorFile:   magic "PMT1", dtype code (u8: 1=f32, 2=u16, 3=u8), ndim (u8),
               dims (u32 LE each), then the row-major little-endian payload.
 PanopticFile: instance map as a u16 TensorFile (N, H, W) plus a JSON sidecar
-              (same path with a .json suffix) holding instance_to_class and
-              the class table; keys canonical decimal IDs, classes JSON ints.
+              (same path with a .json suffix) holding instance_to_class, the
+              class table and void_id 0; keys canonical decimal IDs, classes
+              JSON ints.
 SplatFile:    magic "PSW1", counts G, N, H, W (u32 LE), then a stream of
               (splat_id u32, view u16, pixel u32, weight f32) records.
 
@@ -16,7 +17,6 @@ from __future__ import annotations
 
 import json
 import math
-import operator
 import os
 import struct
 from pathlib import Path
@@ -190,9 +190,13 @@ def read_panoptic(path) -> PanopticMap:
         meta = json.loads(_sidecar(path).read_text())
         table = _table_from_json(meta["class_table"])
         raw = meta["instance_to_class"]
-        mapping = {int(k): operator.index(c) for k, c in raw.items()}
+        mapping = {int(k): c for k, c in raw.items()}
         if list(map(str, mapping)) != list(raw):  # "01", " 2", "1" beside "01"
             raise ValueError("instance IDs must be distinct canonical decimal keys")
+        if any(type(c) is not int for c in mapping.values()):  # 1.7, "2", true
+            raise ValueError("classes must be JSON integers")
+        if type(meta["void_id"]) is not int or meta["void_id"] != 0:
+            raise ValueError("void_id must be the integer 0")
     except JSON_FIELD_ERRORS as exc:
         raise FormatError(f"{_sidecar(path)}: bad sidecar: {exc}") from exc
     return PanopticMap(inst, mapping, table)

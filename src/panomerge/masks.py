@@ -77,13 +77,14 @@ class SoftMaskSet:
                   not sum to one: a proposal's class is derived as the argmax
                   of its row, and no class map is stored.
 
-    Stored: `shape` (m, N, H, W), `support`, and `area`, each row's sum taken
-    while the row was dense (a sum over its nonzeros alone rounds
-    differently). The stored arrays are read-only. No dense array is kept:
-    `values` rebuilds one on each access. The stored form costs 16 bytes per
-    nonzero pixel (index and value) plus one bit per pixel, so it is smaller
-    than the dense float64 array only while fewer than about half of the
-    pixels are nonzero, and twice its size when all are.
+    Stored: `shape` (m, N, H, W), a copy of `class_probs`, `support`, and
+    `area`, each row's sum taken while the row was dense (a sum over its
+    nonzeros alone rounds differently). The stored arrays are read-only. No
+    dense array is kept: `values` rebuilds one on each access. The stored
+    form costs 16 bytes per nonzero pixel (index and value) plus one bit per
+    pixel, so it is smaller than the dense float64 array only while fewer
+    than about half of the pixels are nonzero, and twice its size when all
+    are.
     """
 
     rows: InitVar[Iterable[np.ndarray]]
@@ -116,7 +117,7 @@ class SoftMaskSet:
         if shape is None:
             raise ValueError("m, N, H, W must all be >= 1")
         m = len(area)
-        probs = np.asarray(self.class_probs, dtype=np.float64)
+        probs = np.array(self.class_probs, dtype=np.float64)  # the set's own copy
         if probs.ndim != 2 or probs.shape[0] != m:
             raise ValueError("class_probs must have exactly m rows")
         if probs.shape[1] != self.class_table.num_classes:
@@ -139,7 +140,7 @@ class SoftMaskSet:
             pixels[indptr[q] : indptr[q + 1]] = nz.nonzero()[0]
         support = MaskSupport(indptr, pixels, nonzero, bits)
         area = np.array(area)
-        for a in (*support, area):
+        for a in (*support, area, probs):
             a.flags.writeable = False
         object.__setattr__(self, "class_probs", probs)
         object.__setattr__(self, "shape", (m, *shape))

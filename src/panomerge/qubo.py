@@ -62,13 +62,16 @@ class QuboInstance:
 
 @dataclass(frozen=True, eq=False)
 class Assignment:
-    """A boolean selection of proposals together with its objective value."""
+    """A boolean selection of proposals together with its objective value.
+    `bits` is stored as a read-only bool copy."""
 
     bits: np.ndarray
     objective: float
 
     def __post_init__(self):
-        object.__setattr__(self, "bits", np.asarray(self.bits, dtype=bool).ravel())
+        bits = np.array(self.bits, dtype=bool).ravel()
+        bits.flags.writeable = False
+        object.__setattr__(self, "bits", bits)
 
     def selected(self) -> np.ndarray:
         return np.flatnonzero(self.bits)

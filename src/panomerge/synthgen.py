@@ -33,7 +33,8 @@ class CorruptionSpec:
     boundary_noise_px: max per-view integer shift applied to each proposal;
                        the shift wraps around the view edge (np.roll).
     softness:          sigma of the gaussian blur turning binary masks soft,
-                       in reflect mode, truncated at int(4 * sigma + 0.5) px.
+                       in reflect mode, truncated at int(4 * sigma + 0.5) px;
+                       it equals scipy.ndimage.gaussian_filter bit for bit.
     class_noise:       noise scale on class logits.
     view_gain_noise:   per-(proposal, view) confidence attenuation range;
                        makes the per-pixel vote winner flip between views.
@@ -146,6 +147,34 @@ def _split_mask(mask: np.ndarray) -> list[np.ndarray]:
     return [p for p in (a, b) if p.any()]
 
 
+def _gaussian_weights(sigma: float) -> np.ndarray:
+    """scipy.ndimage's Gaussian kernel at truncate=4.0, built as its
+    `_gaussian_kernel1d` builds it and reversed as `gaussian_filter1d` does:
+    2r + 1 weights summing to one, r = int(4 * sigma + 0.5)."""
+    r = int(4.0 * sigma + 0.5)
+    if r == 0:
+        return np.ones(1)  # 1 / sigma**2 overflows for a subnormal sigma
+    x = np.arange(-r, r + 1)
+    phi = np.exp(-0.5 / (sigma * sigma) * x**2)
+    return (phi / phi.sum())[::-1]
+
+
+def _gaussian_blur(a: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """`scipy.ndimage.gaussian_filter(a, sigma)` of a 2-D float64 array, bit
+    for bit, given `_gaussian_weights(sigma)`: reflect mode, axis 0 then axis
+    1, each sum taken in the order of scipy's symmetric correlation loop."""
+    r = weights.size // 2
+    for _ in range(2):
+        n = a.shape[0]
+        k = np.arange(-r, n + r) % (2 * n)  # reflect: period 2n, also for n < r
+        ext = a[np.minimum(k, 2 * n - 1 - k)]
+        out = ext[r : r + n] * weights[r]
+        for j in range(r, 0, -1):
+            out += (ext[r - j : r - j + n] + ext[r + j : r + j + n]) * weights[r - j]
+        a = out.T  # the second pass blurs the columns; its .T restores the shape
+    return a
+
+
 def _corrupt_views(
     source: np.ndarray,
     windows: list[tuple[int, int]],
@@ -155,12 +184,10 @@ def _corrupt_views(
     """One proposal's corrupted views as (view, rows, cols, patch): the view's
     values are `patch` at [rows, cols] and 0.0 elsewhere. A view whose shifted
     crop is empty has no patch."""
-    # imported here so that only scene generation pays for scipy.ndimage
-    from scipy import ndimage
-
     cor = spec.corruption
     h, w = spec.height, spec.width
-    pad = int(4 * cor.softness + 0.5)  # gaussian_filter's radius at truncate=4.0
+    weights = _gaussian_weights(cor.softness)
+    pad = weights.size // 2
     patches = []
     for v, (r, c) in enumerate(windows):
         crop = source[r : r + h, c : c + w]
@@ -180,11 +207,8 @@ def _corrupt_views(
         # ends inside the view, reflect mode reads only its zero padding.
         ys = slice(max(rows[0] - pad, 0), min(rows[-1] + 1 + pad, h))
         xs = slice(max(cols[0] - pad, 0), min(cols[-1] + 1 + pad, w))
-        patch = crop[ys, xs].astype(np.float64)
-        if cor.softness > 0.0:
-            patch = ndimage.gaussian_filter(patch, sigma=cor.softness)
-            patch = np.clip(patch, 0.0, 1.0)
-        patches.append((v, ys, xs, patch * gain))
+        patch = _gaussian_blur(crop[ys, xs].astype(np.float64), weights)
+        patches.append((v, ys, xs, np.clip(patch, 0.0, 1.0) * gain))
     return patches
 
 

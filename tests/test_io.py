@@ -245,19 +245,21 @@ class TestPanopticFile:
         assert (tmp_path / "numpy.json").read_text() == sidecar
 
     @pytest.mark.parametrize(
-        "to_class",
-        [{"1": 1.7}, {"1": "2"}, {"1": 0, "01": 0}, {"01": 0}, {" 1": 0},
-         {"+1": 0}, {"0_1": 0}],
+        "fields",
+        [{"instance_to_class": to_class} for to_class in [
+            {"1": 1.7}, {"1": "2"}, {"1": 0, "01": 0}, {"01": 0}, {" 1": 0},
+            {"+1": 0}, {"0_1": 0}, {"1": True},
+        ]] + [{"void_id": 5}, {"void_id": False}, {"void_id": 0.0}],
         ids=["float-class", "string-class", "collapsing-keys", "zero-padded-key",
-             "spaced-key", "signed-key", "underscored-key"],
+             "spaced-key", "signed-key", "underscored-key", "bool-class",
+             "nonzero-void", "bool-void", "float-void"],
     )
-    def test_sidecar_read_only_as_written(self, tmp_path, to_class):
+    def test_sidecar_read_only_as_written(self, tmp_path, fields):
         table = ClassTable(("a", "b", "c"), (True, True, False))
         pmap = PanopticMap(np.ones((1, 1, 1), np.uint8), {1: 0}, table)
         write_panoptic(tmp_path / "p.pmt", pmap)
         meta = json.loads((tmp_path / "p.json").read_text())
-        meta["instance_to_class"] = to_class
-        (tmp_path / "p.json").write_text(json.dumps(meta))
+        (tmp_path / "p.json").write_text(json.dumps({**meta, **fields}))
         with pytest.raises(FormatError, match="bad sidecar"):
             read_panoptic(tmp_path / "p.pmt")
 

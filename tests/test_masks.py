@@ -287,6 +287,14 @@ class TestConstruction:
         assert reads == [0, 1, 2]
         np.testing.assert_array_equal(masks.values, values)
 
+    def test_set_owns_a_read_only_copy_of_the_class_probs(self, simple_table):
+        probs = np.array([[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]])
+        masks = SoftMaskSet(np.ones((2, 1, 1, 1)), probs, simple_table)
+        probs[0, 0] = 9.0
+        assert masks.class_probs.tolist() == [[0.2, 0.5, 0.3], [0.6, 0.1, 0.3]]
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            masks.class_probs[0, 0] = 9.0
+
 
 class TestDenseOracles:
     def test_oracles_densify_only_the_rows_they_read(

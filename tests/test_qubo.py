@@ -10,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from panomerge import (
     AnnealConfig,
+    Assignment,
     CorruptionSpec,
     QuboInstance,
     SceneSpec,
@@ -513,3 +514,14 @@ class TestQuboInstance:
             with pytest.raises(ValueError, match="read-only"):
                 stored.flat[0] = np.nan
         assert solve_anneal(q).bits.tolist() == [True, True]
+
+
+class TestAssignment:
+    def test_owns_a_read_only_copy_of_the_bits(self):
+        bits = np.array([[True, False, True]])
+        a = Assignment(bits, 2.0)
+        bits[0, 0] = False
+        assert a.bits.tolist() == [True, False, True]
+        assert a.selected().tolist() == [0, 2]
+        with pytest.raises(ValueError, match="assignment destination is read-only"):
+            a.bits[0] = False

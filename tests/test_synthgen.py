@@ -4,12 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import ndimage
 
 from panomerge import CorruptionSpec, SceneSpec, generate_scene
 from panomerge.masks import PanopticMap, SoftMaskSet
 from panomerge.synthgen import (
     _class_row,
     _corrupt_views,
+    _gaussian_blur,
+    _gaussian_weights,
     _paint_world,
     _split_mask,
     _splat_table,
@@ -18,8 +22,6 @@ from panomerge.synthgen import (
 
 def ref_corrupt_views(source, windows, spec, rng):
     """The previous `_corrupt_views`: every view is blurred whole."""
-    from scipy import ndimage
-
     cor = spec.corruption
     out = np.zeros((spec.num_views, spec.height, spec.width))
     for v, (r, c) in enumerate(windows):
@@ -124,6 +126,33 @@ def scene_specs(draw):
         world_size=world,
         corruption=corruption,
     )
+
+
+@st.composite
+def blur_inputs(draw):
+    shape = (draw(st.integers(1, 24)), draw(st.integers(1, 24)))
+    elements = draw(st.sampled_from([
+        st.sampled_from([0.0, 1.0]), st.floats(-1e6, 1e6, allow_subnormal=True)
+    ]))
+    # below 1e-15 gaussian_filter copies, below 0.125 the radius is 0 (so the
+    # blur is the identity a softness of 0 relies on), and the largest sigmas
+    # reach past the array's far side
+    sigma = draw(st.one_of(
+        st.sampled_from([0.0, 5e-324, 1e-15, 0.124, 0.125, 0.875]),
+        st.floats(0.0, 2.0 * max(shape)),
+    ))
+    return draw(arrays(np.float64, shape, elements=elements)), sigma
+
+
+class TestGaussianBlur:
+    @settings(max_examples=300, deadline=None)
+    @given(blur_inputs())
+    def test_equals_scipy_gaussian_filter(self, case):
+        a, sigma = case
+        got = _gaussian_blur(a, _gaussian_weights(sigma))
+        want = ndimage.gaussian_filter(a, sigma)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
 
 
 class TestMatchesReference:
