@@ -89,25 +89,19 @@ def cmd_merge_baseline(args) -> int:
     return EXIT_OK
 
 
-def _upsample_nearest(pmap: PanopticMap, height: int, width: int) -> PanopticMap:
-    if height % pmap.height or width % pmap.width:
-        raise ValueError(
-            f"height {pmap.height} and width {pmap.width} do not divide "
-            f"target {height}x{width} by an exact integer factor"
-        )
-    fy, fx = height // pmap.height, width // pmap.width
-    inst = np.repeat(np.repeat(pmap.instance_ids, fy, axis=1), fx, axis=2)
-    return PanopticMap(inst, pmap.instance_to_class, pmap.class_table)
-
-
 def _eval_pair(pred_path, gt_path, void_exemption: bool):
     pred = pio.read_panoptic(pred_path)
     gt = pio.read_panoptic(gt_path)
+    # the GT is the reference: only pred moves, by nearest upsampling onto its grid
     if (pred.height, pred.width) != (gt.height, gt.width):
-        if pred.height * pred.width < gt.height * gt.width:
-            pred = _upsample_nearest(pred, gt.height, gt.width)
-        else:
-            gt = _upsample_nearest(gt, pred.height, pred.width)
+        if gt.height % pred.height or gt.width % pred.width:
+            raise ValueError(
+                f"height {pred.height} and width {pred.width} do not divide "
+                f"target {gt.height}x{gt.width} by an exact integer factor"
+            )
+        fy, fx = gt.height // pred.height, gt.width // pred.width
+        inst = np.repeat(np.repeat(pred.instance_ids, fy, axis=1), fx, axis=2)
+        pred = PanopticMap(inst, pred.instance_to_class, pred.class_table)
     return scene_pq(pred, gt, gt.class_table, void_exemption=void_exemption)
 
 
@@ -115,16 +109,12 @@ def cmd_eval_pq(args) -> int:
     void_exemption = not args.no_void_exemption
     if args.dataset:
         pred_dir, gt_dir = Path(args.pred), Path(args.gt)
-        stems = sorted(p.stem for p in pred_dir.glob("*.pmt"))
-        pairs = [
-            (pred_dir / f"{s}.pmt", gt_dir / f"{s}.pmt")
-            for s in stems
-            if (gt_dir / f"{s}.pmt").exists()
-        ]
+        stems = sorted(p.stem for p in gt_dir.glob("*.pmt"))
+        pairs = [(pred_dir / f"{s}.pmt", gt_dir / f"{s}.pmt") for s in stems]
         reports = [_eval_pair(pred, gt, void_exemption) for pred, gt in pairs]
         doc = dataset_pq(reports).to_json_dict()
         doc["scenes"] = [
-            {"scene": s.stem, **r.to_json_dict()} for (s, _), r in zip(pairs, reports)
+            {"scene": s, **r.to_json_dict()} for s, r in zip(stems, reports)
         ]
     else:
         report = _eval_pair(args.pred, args.gt, void_exemption)

@@ -51,9 +51,9 @@ JSON_FIELD_ERRORS = (KeyError, TypeError, AttributeError, OverflowError, ValueEr
 
 def write_files(files: dict) -> None:
     """Write each path in `files` as the concatenation of its bytes-like
-    chunks. Every file is staged as a hidden temp file beside its target and
-    moved into place only after all are written, so a crash while writing
-    never leaves a half-written target."""
+    chunks. Every file is staged as a hidden temp file beside its target,
+    synced to disk, and moved into place only after all are written, so a
+    crash while writing never leaves a half-written target."""
     targets = [Path(p) for p in files]
     staged = [t.with_name(f".{t.name}.{os.urandom(4).hex()}.tmp") for t in targets]
     try:
@@ -61,6 +61,8 @@ def write_files(files: dict) -> None:
             with open(tmp, "wb") as f:
                 for chunk in chunks:
                     f.write(chunk)
+                f.flush()
+                os.fsync(f.fileno())
         for tmp, target in zip(staged, targets):
             os.replace(tmp, target)
     finally:

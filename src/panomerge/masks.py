@@ -95,8 +95,6 @@ class SoftMaskSet:
     area: np.ndarray = field(init=False)
 
     def __post_init__(self, rows):
-        if isinstance(rows, np.ndarray) and rows.ndim != 4:
-            raise ValueError("mask values must have shape (m, N, H, W)")
         shape, area, bits, nonzero = None, [], [], []
         for row in rows:
             row = np.asarray(row, dtype=np.float64)

@@ -108,9 +108,7 @@ class PqReport:
         }
 
 
-def _segments(
-    ids: np.ndarray, pmap: PanopticMap, classes: ClassTable
-) -> tuple[np.ndarray, np.ndarray]:
+def _segments(ids: np.ndarray, pmap: PanopticMap) -> tuple[np.ndarray, np.ndarray]:
     """The segment index of each entry of `ids` (instance IDs of `pmap`), and
     each segment's class, from a table over the distinct IDs.
 
@@ -122,13 +120,11 @@ def _segments(
     to_class = pmap.instance_to_class
     cls = np.array([to_class.get(i, VOID_CLASS) for i in ids.tolist()], np.int64)
     valid = np.flatnonzero((ids != VOID_INSTANCE) & (cls != VOID_CLASS))
-    if ((cls[valid] < 0) | (cls[valid] >= classes.num_classes)).any():
-        raise ValueError("label map references a class ID outside the table")
     # IDs ascend, so a stable sort by class orders them as (class, ID)
     order = valid[np.argsort(cls[valid], kind="stable")]
     seg_cls = cls[order]
     # a thing ID opens a segment; a stuff ID only where its class starts
-    opens = np.asarray(classes.is_thing, dtype=bool)[seg_cls]
+    opens = np.asarray(pmap.class_table.is_thing, dtype=bool)[seg_cls]
     opens[1:] |= seg_cls[1:] != seg_cls[:-1]
     opens[:1] = True
     seg = np.full(ids.size, np.count_nonzero(opens), dtype=np.int64)
@@ -142,7 +138,9 @@ def scene_pq(
     classes: ClassTable,
     void_exemption: bool = True,
 ) -> PqReport:
-    """Panoptic Quality over the concatenation of all views of a scene.
+    """Panoptic Quality over the concatenation of all views of a scene. The
+    ground truth is the reference: `pred` must share its shape, and both maps
+    must carry `classes` as their class table (else ValueError).
 
     One pass over the pixels counts the (pred ID, gt ID) pairs. Folding each
     ID into its segment (things one per instance, stuff one per class; see
@@ -158,13 +156,15 @@ def scene_pq(
             "shape mismatch: pred "
             f"{pred.instance_ids.shape} vs gt {gt.instance_ids.shape}"
         )
+    if not pred.class_table == gt.class_table == classes:
+        raise ValueError("class table mismatch: pred and gt must both use `classes`")
     # IDs are u16, so the key pred << 16 | gt never aliases two pairs
     keys, id_counts = np.unique(
         pred.instance_ids.astype(np.uint32).ravel() << 16 | gt.instance_ids.ravel(),
         return_counts=True,
     )
-    pred_seg, pred_cls = _segments(keys >> 16, pred, classes)
-    gt_seg, gt_cls = _segments(keys & 0xFFFF, gt, classes)
+    pred_seg, pred_cls = _segments(keys >> 16, pred)
+    gt_seg, gt_cls = _segments(keys & 0xFFFF, gt)
     n_pred, n_gt = pred_cls.size, gt_cls.size
 
     # fold the ID pairs into (pred, gt) segment pairs; index n_pred / n_gt is void

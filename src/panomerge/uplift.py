@@ -20,8 +20,9 @@ from .masks import INSTANCE_ID_LIMIT, PanopticMap
 class SplatWeightTable:
     """Sparse (splat, view, pixel, weight) records of alpha-blend contributions.
 
-    Pixel indices are flat row-major indices into an H x W view. No index
-    is cached from the columns, so they stay writable.
+    Pixel indices are flat row-major indices into an H x W view. Stored: the
+    counts as nonnegative ints and read-only copies of the columns, the
+    weights float64 and the rest int64.
     """
 
     num_splats: int
@@ -34,10 +35,15 @@ class SplatWeightTable:
     weights: np.ndarray
 
     def __post_init__(self):
+        for name in ("num_splats", "num_views", "height", "width"):
+            count = operator.index(getattr(self, name))
+            if count < 0:
+                raise ValueError(f"{name} must be >= 0, not {count}")
+            object.__setattr__(self, name, count)
         cols = (self.splat_ids, self.views, self.pixels)
-        sid, view, pix = (np.asarray(c, dtype=np.int64).ravel() for c in cols)
+        sid, view, pix = (np.array(c, dtype=np.int64).ravel() for c in cols)
         with np.errstate(invalid="ignore"):  # a signalling NaN is refused below
-            w = np.asarray(self.weights, dtype=np.float64).ravel()
+            w = np.array(self.weights, dtype=np.float64).ravel()
         n = sid.shape[0]
         if not (view.shape[0] == pix.shape[0] == w.shape[0] == n):
             raise ValueError("record columns must have equal length")
@@ -61,6 +67,8 @@ class SplatWeightTable:
                 del sorted_col
             if same.any():
                 raise ValueError("(splat, view, pixel) triples must be unique")
+        for a in (sid, view, pix, w):
+            a.flags.writeable = False
         object.__setattr__(self, "splat_ids", sid)
         object.__setattr__(self, "views", view)
         object.__setattr__(self, "pixels", pix)

@@ -424,6 +424,30 @@ class TestEvalPq:
         write_panoptic(base, odd)
         assert run(["eval-pq", base, scene_dir / "gt.pmt"]) == 2
 
+    def test_larger_pred_is_exit_2(self, scene_dir, tmp_path, capsys):
+        # only the prediction moves onto the GT grid, never the GT onto pred's
+        gt = read_panoptic(scene_dir / "gt.pmt")
+        double = np.repeat(np.repeat(gt.instance_ids, 2, axis=1), 2, axis=2)
+        base = tmp_path / "double.pmt"
+        write_panoptic(base, PanopticMap(double, gt.instance_to_class, gt.class_table))
+        out = tmp_path / "pq.json"
+        assert run(["eval-pq", base, scene_dir / "gt.pmt", "--out", out]) == 2
+        assert "integer factor" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_permuted_class_table_is_exit_2(self, scene_dir, tmp_path, capsys):
+        # the same IDs and class indices would score 100 under the wrong names
+        gt = read_panoptic(scene_dir / "gt.pmt")
+        table = gt.class_table
+        flipped = ClassTable(table.names[::-1], table.is_thing[::-1])
+        base = tmp_path / "flipped.pmt"
+        flipped_map = PanopticMap(gt.instance_ids, gt.instance_to_class, flipped)
+        write_panoptic(base, flipped_map)
+        out = tmp_path / "pq.json"
+        assert run(["eval-pq", base, scene_dir / "gt.pmt", "--out", out]) == 2
+        assert "class table mismatch" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize(
         "sidecar",
         [
@@ -480,6 +504,37 @@ class TestEvalPq:
         report = json.loads(capsys.readouterr().out)
         assert report["num_scenes"] == 3
         assert report["pq"] == 100.0
+
+    @staticmethod
+    def _dataset(scene_dir, root, pred_stems, gt_stems):
+        """Directories pred/ and gt/ holding copies of the scene's GT."""
+        for name, stems in (("pred", pred_stems), ("gt", gt_stems)):
+            (root / name).mkdir()
+            for s in stems:
+                for suffix in (".pmt", ".json"):
+                    data = (scene_dir / f"gt{suffix}").read_bytes()
+                    (root / name / f"{s}{suffix}").write_bytes(data)
+        return root / "pred", root / "gt"
+
+    def test_dataset_gt_scene_without_pred_is_exit_3(self, scene_dir, tmp_path, capsys):
+        pred_dir, gt_dir = self._dataset(
+            scene_dir, tmp_path, pred_stems=["a", "c"], gt_stems=["a", "b", "c"]
+        )
+        out = tmp_path / "report.json"
+        assert run(["eval-pq", pred_dir, gt_dir, "--dataset", "--out", out]) == 3
+        assert "b.pmt" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_dataset_pred_without_gt_is_ignored(self, scene_dir, tmp_path, capsys):
+        pred_dir, gt_dir = self._dataset(
+            scene_dir, tmp_path, pred_stems=["a", "b", "x"], gt_stems=["a", "b"]
+        )
+        (pred_dir / "x.pmt").write_bytes(b"not a tensor")
+        capsys.readouterr()
+        assert run(["eval-pq", pred_dir, gt_dir, "--dataset"]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["num_scenes"] == 2
+        assert [s["scene"] for s in report["scenes"]] == ["a", "b"]
 
     def test_dataset_mode_without_matching_pairs_writes_nothing(
         self, scene_dir, tmp_path, capsys

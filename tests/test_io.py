@@ -427,6 +427,30 @@ class TestCrashSafeWrite:
             WRITERS[writer](inp, out, 2)
         assert {p.name: p.read_bytes() for p in out.iterdir()} == before
 
+    def test_every_staged_file_is_synced_before_any_rename(self, tmp_path, monkeypatch):
+        # each event: what was done, and to which (inode, size) of file
+        events = []
+        fsync, replace = os.fsync, os.replace
+
+        def recorded_fsync(fd):
+            st_ = os.fstat(fd)
+            events.append(("fsync", st_.st_ino, st_.st_size))
+            fsync(fd)
+
+        def recorded_replace(src, dst):
+            st_ = os.stat(src)
+            events.append(("replace", st_.st_ino, st_.st_size))
+            replace(src, dst)
+
+        monkeypatch.setattr(pio.os, "fsync", recorded_fsync)
+        monkeypatch.setattr(pio.os, "replace", recorded_replace)
+        base = tmp_path / "map.pmt"
+        write_panoptic(base, small_map(1))
+        assert [e[0] for e in events] == ["fsync", "fsync", "replace", "replace"]
+        # every byte was flushed before its sync, and each synced file moved
+        final = {(t.stat().st_ino, t.stat().st_size) for t in tmp_path.iterdir()}
+        assert {e[1:] for e in events[:2]} == {e[1:] for e in events[2:]} == final
+
     def test_overwrite_leaves_only_the_pair(self, tmp_path):
         base = tmp_path / "map.pmt"
         write_panoptic(base, small_map(1))

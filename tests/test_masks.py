@@ -244,12 +244,19 @@ class TestRowsInput:
 
     @pytest.mark.parametrize(
         "rows",
-        [[], [np.zeros((1, 2, 2)), np.zeros((1, 2, 3))], [np.zeros((2, 2))]],
-        ids=["no rows", "ragged", "2-d row"],
+        [
+            [],
+            [np.zeros((1, 2, 2)), np.zeros((1, 2, 3))],
+            [np.zeros((2, 2))],
+            *(np.zeros((2,) * ndim) for ndim in (1, 2, 3, 5)),
+        ],
+        ids=["no rows", "ragged", "2-d row", *(f"{n}-d array" for n in (1, 2, 3, 5))],
     )
     def test_bad_rows_rejected(self, rows, simple_table):
+        # a dense array is refused by the same row loop as any other iterable
+        given = rows if isinstance(rows, np.ndarray) else iter(rows)
         with pytest.raises(ValueError):
-            SoftMaskSet(iter(rows), np.full((len(rows), 3), 0.5), simple_table)
+            SoftMaskSet(given, np.full((len(rows), 3), 0.5), simple_table)
 
     @pytest.mark.parametrize("bad", [-1e-300, 1.0 + 2**-52, np.nan])
     def test_out_of_range_value_in_a_later_row_rejected(self, bad, simple_table):

@@ -206,8 +206,18 @@ class TestScenePq:
         bad = pmap([[[1, 2]]], {1: 0, 2: cid}, wider)
         good = pmap([[[1, 1]]], {1: 0}, table)
         for pred, gt in ((bad, good), (good, bad)):
-            with pytest.raises(ValueError, match="outside the table"):
+            with pytest.raises(ValueError, match="class table mismatch"):
                 scene_pq(pred, gt, table)
+
+    def test_permuted_class_table_raises(self, table):
+        # the same IDs and class indices name other classes under this table
+        flipped = ClassTable(table.names[::-1], table.is_thing[::-1])
+        gt = pmap([[[1, 2, 0]]], {1: 0, 2: 2}, table)
+        pred = pmap(gt.instance_ids, gt.instance_to_class, flipped)
+        for args in ((pred, gt, table), (gt, pred, table), (gt, gt, flipped)):
+            with pytest.raises(ValueError, match="class table mismatch"):
+                scene_pq(*args)
+        assert scene_pq(pred, pred, flipped).pq == 100.0
 
     def test_class_dict_refuses_edits(self, table):
         # so a scored map's classes are the ones its constructor checked
@@ -458,6 +468,29 @@ def test_scene_pq_matches_code_dict_reference(scene, void_exemption):
     assert rows(got.per_class) == rows(want)
     for name, value in ref_scores(want, table).items():
         assert same_float(getattr(got, name), value), name
+
+
+@settings(max_examples=300, deadline=None)
+@given(scored_pairs())
+def test_iou_sums_match_the_set_based_iou(scene):
+    # each matched pair's IoU from pixel sets, GT void taken out of pred
+    table, pred, gt = scene
+    pred_codes = ref_segment_codes(pred, table)
+    gt_codes = ref_segment_codes(gt, table)
+    sums = {}
+    for p in set(pred_codes.tolist()) - {-1}:
+        pred_pixels = np.flatnonzero((pred_codes == p) & (gt_codes != -1))
+        for g in set(gt_codes.tolist()) - {-1}:
+            if p // INSTANCE_ID_LIMIT != g // INSTANCE_ID_LIMIT:
+                continue
+            value = iou(pred_pixels, np.flatnonzero(gt_codes == g))
+            if value > MATCH_IOU:
+                cid = p // INSTANCE_ID_LIMIT
+                sums[cid] = sums.get(cid, 0.0) + value
+    per_class = scene_pq(pred, gt, table).per_class
+    assert set(sums) <= set(per_class)
+    for cid, st_ in per_class.items():
+        assert st_.iou_sum == pytest.approx(sums.get(cid, 0.0), rel=1e-12, abs=0.0)
 
 
 class TestDerivedScores:

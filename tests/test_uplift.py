@@ -516,6 +516,40 @@ class TestSplatWeightTable:
         with pytest.raises(ValueError):
             make_table([[0, 0, 0, bad]], 1, 1, 1, 2)
 
+    @pytest.mark.parametrize(
+        "counts, error",
+        [
+            ((2.5, 1, 1, 1), TypeError),
+            ((1, 1, 1, "1"), TypeError),
+            ((1, -1, 1, 1), ValueError),
+            ((1, 1, -2, 1), ValueError),
+            ((2.5, -1, 1, 1), TypeError),
+        ],
+        ids=["float", "string", "negative", "negative-height", "float-and-negative"],
+    )
+    def test_counts_must_be_nonnegative_integers(self, counts, error):
+        with pytest.raises(error):
+            SplatWeightTable(*counts, [], [], [], [])
+
+    def test_counts_are_stored_as_ints(self):
+        table = SplatWeightTable(np.uint32(2), np.int64(1), True, 2, [], [], [], [])
+        counts = (table.num_splats, table.num_views, table.height, table.width)
+        assert counts == (2, 1, 1, 2)
+        assert all(type(c) is int for c in counts)
+
+    def test_owns_read_only_copies_of_its_columns(self):
+        given = [np.array([0, 1]), np.array([0, 0]), np.array([1, 0]), np.ones(2)]
+        table = SplatWeightTable(2, 1, 1, 2, *given)
+        names = ("splat_ids", "views", "pixels", "weights")
+        for name, column in zip(names, given):
+            stored = getattr(table, name)
+            assert not np.shares_memory(stored, column)
+            with pytest.raises(ValueError, match="read-only"):
+                stored[0] = 0
+            column[...] = -5  # the caller's arrays stay theirs to change
+        np.testing.assert_array_equal(table.weights, [1.0, 1.0])
+        np.testing.assert_array_equal(table.splat_ids, [0, 1])
+
     # u32 splat and pixel IDs with u16 views: a packed (splat, view, pixel)
     # key would need 80 bits.
     @settings(max_examples=200, deadline=None)
