@@ -109,7 +109,8 @@ def cmd_eval_pq(args) -> int:
     void_exemption = not args.no_void_exemption
     if args.dataset:
         pred_dir, gt_dir = Path(args.pred), Path(args.gt)
-        stems = sorted(p.stem for p in gt_dir.glob("*.pmt"))
+        # iterdir, unlike glob, raises for a missing directory: an I/O exit 3
+        stems = sorted(p.stem for p in gt_dir.iterdir() if p.suffix == ".pmt")
         pairs = [(pred_dir / f"{s}.pmt", gt_dir / f"{s}.pmt") for s in stems]
         reports = [_eval_pair(pred, gt, void_exemption) for pred, gt in pairs]
         doc = dataset_pq(reports).to_json_dict()

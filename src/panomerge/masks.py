@@ -27,6 +27,18 @@ VOID_CLASS = 65535
 INSTANCE_ID_LIMIT = 1 << 16
 
 
+def freeze(obj, **fields) -> None:
+    """Store each field on the frozen dataclass `obj` and mark every ndarray
+    among them read-only, arrays inside a tuple field too. Each array must be
+    the container's own, a copy it made or an array it built, or the caller's
+    is locked; a `.view()` is its own, so the caller's array stays writable."""
+    for name, value in fields.items():
+        for a in value if isinstance(value, tuple) else (value,):
+            if isinstance(a, np.ndarray):
+                a.flags.writeable = False
+        object.__setattr__(obj, name, value)
+
+
 @dataclass(frozen=True)
 class ClassTable:
     """Semantic vocabulary: class names and thing/stuff flags. Class IDs are
@@ -42,8 +54,7 @@ class ClassTable:
             raise ValueError("is_thing length must match number of class names")
         if len(self.names) > VOID_CLASS:
             raise ValueError(f"a class table holds at most {VOID_CLASS} classes")
-        object.__setattr__(self, "names", tuple(self.names))
-        object.__setattr__(self, "is_thing", tuple(bool(t) for t in self.is_thing))
+        freeze(self, names=tuple(self.names), is_thing=tuple(map(bool, self.is_thing)))
 
     @property
     def num_classes(self) -> int:
@@ -138,12 +149,7 @@ class SoftMaskSet:
             pixels[indptr[q] : indptr[q + 1]] = nz.nonzero()[0]
         support = MaskSupport(indptr, pixels, nonzero, bits)
         area = np.array(area)
-        for a in (*support, area, probs):
-            a.flags.writeable = False
-        object.__setattr__(self, "class_probs", probs)
-        object.__setattr__(self, "shape", (m, *shape))
-        object.__setattr__(self, "support", support)
-        object.__setattr__(self, "area", area)
+        freeze(self, class_probs=probs, shape=(m, *shape), support=support, area=area)
 
     def dense_rows(self, queries) -> np.ndarray:
         """The dense (len(queries), N, H, W) float64 values of the given rows."""
@@ -207,7 +213,6 @@ class PanopticMap:
         if inst.size and (inst.min() < 0 or inst.max() >= INSTANCE_ID_LIMIT):
             raise ValueError(f"instance IDs must lie in [0, {INSTANCE_ID_LIMIT})")
         inst = np.array(inst, dtype=np.uint16)  # the map's own copy
-        inst.flags.writeable = False
         index = operator.index
         to_class = {index(i): index(c) for i, c in self.instance_to_class.items()}
         outside = [i for i in to_class if not 0 <= i < INSTANCE_ID_LIMIT]
@@ -224,8 +229,7 @@ class PanopticMap:
             raise ValueError(
                 f"class ID(s) {bad} not in [0, {n}) or the void class {VOID_CLASS}"
             )
-        object.__setattr__(self, "instance_ids", inst)
-        object.__setattr__(self, "instance_to_class", MappingProxyType(to_class))
+        freeze(self, instance_ids=inst, instance_to_class=MappingProxyType(to_class))
 
     @classmethod
     def from_instances(

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .masks import SoftMaskSet
+from .masks import SoftMaskSet, freeze
 
 EXACT_MAX_VARS = 24
 DEFAULT_PENALTY = 2.0
@@ -50,10 +50,7 @@ class QuboInstance:
             raise ValueError("penalty must be finite and exceed 1")
         # the diagonal is unused; zero it so incremental updates need no masking
         np.fill_diagonal(quad, 0.0)
-        lin.flags.writeable = False
-        quad.flags.writeable = False
-        object.__setattr__(self, "linear", lin)
-        object.__setattr__(self, "quadratic", quad)
+        freeze(self, linear=lin, quadratic=quad)
 
     @property
     def num_vars(self) -> int:
@@ -69,9 +66,7 @@ class Assignment:
     objective: float
 
     def __post_init__(self):
-        bits = np.array(self.bits, dtype=bool).ravel()
-        bits.flags.writeable = False
-        object.__setattr__(self, "bits", bits)
+        freeze(self, bits=np.array(self.bits, dtype=bool).ravel())
 
     def selected(self) -> np.ndarray:
         return np.flatnonzero(self.bits)

@@ -13,7 +13,7 @@ from dataclasses import InitVar, dataclass, field
 
 import numpy as np
 
-from .masks import INSTANCE_ID_LIMIT, PanopticMap
+from .masks import INSTANCE_ID_LIMIT, PanopticMap, freeze
 
 
 @dataclass(frozen=True, eq=False)
@@ -35,11 +35,11 @@ class SplatWeightTable:
     weights: np.ndarray
 
     def __post_init__(self):
+        counts = {}
         for name in ("num_splats", "num_views", "height", "width"):
-            count = operator.index(getattr(self, name))
-            if count < 0:
-                raise ValueError(f"{name} must be >= 0, not {count}")
-            object.__setattr__(self, name, count)
+            counts[name] = operator.index(getattr(self, name))
+            if counts[name] < 0:
+                raise ValueError(f"{name} must be >= 0, not {counts[name]}")
         cols = (self.splat_ids, self.views, self.pixels)
         sid, view, pix = (np.array(c, dtype=np.int64).ravel() for c in cols)
         with np.errstate(invalid="ignore"):  # a signalling NaN is refused below
@@ -48,11 +48,11 @@ class SplatWeightTable:
         if not (view.shape[0] == pix.shape[0] == w.shape[0] == n):
             raise ValueError("record columns must have equal length")
         if n:
-            if sid.min() < 0 or sid.max() >= self.num_splats:
+            if sid.min() < 0 or sid.max() >= counts["num_splats"]:
                 raise ValueError("splat ID out of range")
-            if view.min() < 0 or view.max() >= self.num_views:
+            if view.min() < 0 or view.max() >= counts["num_views"]:
                 raise ValueError("view index out of range")
-            if pix.min() < 0 or pix.max() >= self.height * self.width:
+            if pix.min() < 0 or pix.max() >= counts["height"] * counts["width"]:
                 raise ValueError("pixel index out of range")
             # written so that NaN fails it too
             if not (w.min() >= 0.0 and w.max() < np.inf):
@@ -67,12 +67,7 @@ class SplatWeightTable:
                 del sorted_col
             if same.any():
                 raise ValueError("(splat, view, pixel) triples must be unique")
-        for a in (sid, view, pix, w):
-            a.flags.writeable = False
-        object.__setattr__(self, "splat_ids", sid)
-        object.__setattr__(self, "views", view)
-        object.__setattr__(self, "pixels", pix)
-        object.__setattr__(self, "weights", w)
+        freeze(self, **counts, splat_ids=sid, views=view, pixels=pix, weights=w)
 
     @property
     def num_records(self) -> int:
@@ -117,11 +112,7 @@ class SplatLabelField:
             raise ValueError("splat distributions must sum to 0 or to 1")
         # keys ascend, so each row's entries start where its first key would
         indptr = np.searchsorted(keys, np.arange(rows + 1) * width)
-        support = (indptr, keys - splat * width, values)
-        for a in support:
-            a.flags.writeable = False
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "support", support)
+        freeze(self, shape=shape, support=(indptr, keys - splat * width, values))
 
     @property
     def distributions(self) -> np.ndarray:
@@ -150,8 +141,8 @@ def uplift_labels(labels: PanopticMap, weights: SplatWeightTable) -> SplatLabelF
         weights.width,
     ):
         raise ValueError("label map and weight table disagree on (N, H, W)")
-    # one column past the largest ID the map holds or names
-    width = 1 + max([int(labels.instance_ids.max(initial=0)), *labels.instance_to_class])
+    # one column past the largest ID the map names, which bounds every ID it holds
+    width = 1 + max(labels.instance_to_class, default=0)
     flat = labels.instance_ids.reshape(labels.num_views, -1)
     record_labels = flat[weights.views, weights.pixels]
 

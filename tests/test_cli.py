@@ -536,6 +536,15 @@ class TestEvalPq:
         assert report["num_scenes"] == 2
         assert [s["scene"] for s in report["scenes"]] == ["a", "b"]
 
+    def test_dataset_missing_gt_dir_is_exit_3(self, scene_dir, tmp_path, capsys):
+        pred_dir, _ = self._dataset(scene_dir, tmp_path, ["a"], [])
+        out = tmp_path / "report.json"
+        missing = tmp_path / "nonexistent"
+        capsys.readouterr()
+        assert run(["eval-pq", pred_dir, missing, "--dataset", "--out", out]) == 3
+        assert str(missing) in capsys.readouterr().err
+        assert not out.exists()
+
     def test_dataset_mode_without_matching_pairs_writes_nothing(
         self, scene_dir, tmp_path, capsys
     ):

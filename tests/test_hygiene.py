@@ -396,6 +396,52 @@ def test_no_hand_written_init(path):
     assert hand_written_inits(path.read_text()) == []
 
 
+def state_writes(source: str) -> list[str]:
+    """Names of the top-level definitions that call `object.__setattr__` or
+    assign to `.flags.writeable`, once per write: a container stores its
+    state through `masks.freeze`, the one place that marks arrays read-only."""
+    found = []
+    for node in ast.parse(source).body:
+        name = getattr(node, "name", "<module>")
+        for item in ast.walk(node):
+            if isinstance(item, ast.Call):
+                if ast.unparse(item.func) == "object.__setattr__":
+                    found.append(name)
+            elif isinstance(item, ast.Attribute) and isinstance(item.ctx, ast.Store):
+                if item.attr == "writeable" and ast.unparse(item.value).endswith(".flags"):
+                    found.append(name)
+    return found
+
+
+def test_detects_state_writes():
+    source = (
+        "def freeze(obj, **fields):\n"
+        "    for name, value in fields.items():\n"
+        "        value.flags.writeable = False\n"
+        "        object.__setattr__(obj, name, value)\n"
+        "class Held:\n"
+        "    def __post_init__(self):\n"
+        "        a = np.array(self.a)\n"
+        "        a.flags.writeable = False\n"
+        "        self.support[0].flags.writeable = False\n"
+        "        object.__setattr__(self, 'a', a)\n"
+        "        freeze(self, a=a)\n"
+        "        ok = a.flags.writeable\n"
+        "        setattr(self, 'b', a)\n"
+        "LOCKED = np.zeros(2)\n"
+        "LOCKED.flags.writeable = False\n"
+    )
+    assert state_writes(source) == [
+        "freeze", "freeze", "Held", "Held", "Held", "<module>"
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_state_stored_only_through_freeze(path):
+    written = state_writes(path.read_text())
+    assert {(path.name, n) for n in written} <= {("masks.py", "freeze")}
+
+
 def alias_calls(source: str, alias: str) -> list[str]:
     """Each call of `alias`, bare or as an attribute, such as
     `PanopticMap.from_instances(...)`."""

@@ -199,3 +199,15 @@ class TestFpsSelect:
     def test_nan_descriptors_rejected(self):
         with pytest.raises(ValueError):
             descriptors([(0.0, np.nan)])
+
+
+def test_vectors_are_a_read_only_view():
+    given = np.array([[0.0, 1.0], [2.0, 3.0]])
+    desc = FrameDescriptors(given)
+    with pytest.raises(ValueError, match="read-only"):
+        desc.vectors[0, 0] = 5.0
+    # the caller's float64 array is viewed, never locked
+    assert given.flags.writeable
+    given[0, 0] = 7.0
+    assert desc.vectors[0, 0] == 7.0
+    assert not FrameDescriptors(given.astype(np.float32)).vectors.flags.writeable
